@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fom import ParamDomain
+from .fom import ParamDomain, write_csv
 
 
 class GradientSampleError(ValueError):
@@ -195,20 +195,8 @@ def subspace_distance(a, b):
 
 def export_summary_csv(path, subspace, samples):
     """Write summary rows as CSV with an active-coordinate header."""
-    rows = summary_data(subspace, samples)
     header = ",".join(f"mu_M_{i + 1}" for i in range(subspace.active_dim)) + ",f"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def export_eigenvalues_csv(path, subspace):
-    """Write the covariance spectrum as CSV (index, lambda)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,lambda\n")
-        for i, lam in enumerate(subspace.eigenvalues):
-            fh.write(f"{i + 1},{lam:.17g}\n")
+    write_csv(path, header, summary_data(subspace, samples))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import rb
+from .fom import affine_weights
 
 
 class CoercivityError(ValueError):
@@ -32,7 +33,6 @@ class ResidualOffline:
     q_f: int
     q_a: int
     basis_size: int
-    clamp_count: int = 0  # negative round-off clamps seen by dual-norm calls
 
     def __post_init__(self):
         # symmetric factor R with R^T R = cross_gram; evaluating the dual
@@ -67,17 +67,12 @@ def riesz_offline(system, basis):
 
 
 def _residual_coefficients(offline, system, mu, u_n):
-    theta_f = np.atleast_1d(np.asarray(system.theta_f(mu), dtype=float))
-    theta_a = np.atleast_1d(np.asarray(system.theta_a(mu), dtype=float))
     u_n = np.asarray(u_n, dtype=float)
     if u_n.shape[0] != offline.basis_size:
         raise ValueError("reduced coefficient length does not match offline data")
-    coeff = np.empty(offline.q_f + offline.basis_size * offline.q_a)
-    coeff[: offline.q_f] = theta_f
-    for n in range(offline.basis_size):
-        start = offline.q_f + n * offline.q_a
-        coeff[start : start + offline.q_a] = -u_n[n] * theta_a
-    return coeff
+    theta_f = affine_weights(system.theta_f, mu, offline.q_f)
+    theta_a = affine_weights(system.theta_a, mu, offline.q_a)
+    return np.concatenate([theta_f, -np.outer(u_n, theta_a).ravel()])
 
 
 def residual_dual_norm(offline, system, mu, u_n):
@@ -95,6 +90,14 @@ class CoercivityModel:
     alpha_bar: float
 
 
+def _arpack_start(n):
+    """Fixed ARPACK start vector, so repeated runs give bitwise-equal results.
+
+    Not constant: constants lie in the null space of the half-domain terms.
+    """
+    return np.random.default_rng(0).random(n)
+
+
 def _smallest_generalized_eig(a, gram):
     """Smallest eigenvalue of a x = lambda gram x (both sparse SPD)."""
     n = a.shape[0]
@@ -107,7 +110,7 @@ def _smallest_generalized_eig(a, gram):
         return float(vals[0])
     vals = spla.eigsh(
         sp.csc_matrix(a), k=1, M=sp.csc_matrix(gram), sigma=0, which="LM",
-        return_eigenvectors=False,
+        return_eigenvectors=False, v0=_arpack_start(n),
     )
     return float(vals[0])
 
@@ -119,7 +122,7 @@ def build_coercivity_model(system, mu_bar, check_terms=True):
     semidefinite (a requirement of the minimum-theta argument).
     """
     mu_bar = np.atleast_1d(np.asarray(mu_bar, dtype=float))
-    theta_bar = np.atleast_1d(np.asarray(system.theta_a(mu_bar), dtype=float))
+    theta_bar = affine_weights(system.theta_a, mu_bar, system.q_a)
     if np.any(theta_bar <= 0.0):
         raise CoercivityError("reference theta weights must all be positive")
     if check_terms:
@@ -146,13 +149,13 @@ def _term_min_eig(a):
 
         return float(scipy.linalg.eigvalsh(np.asarray(a.todense()))[0])
     vals = spla.eigsh(sp.csc_matrix(a), k=1, which="SA", return_eigenvectors=False,
-                      maxiter=5000, tol=1e-8)
+                      maxiter=5000, tol=1e-8, v0=_arpack_start(n))
     return float(vals[0])
 
 
 def coercivity_lb(model, system, mu):
     """Minimum-theta coercivity lower bound at a parameter point."""
-    theta = np.atleast_1d(np.asarray(system.theta_a(mu), dtype=float))
+    theta = affine_weights(system.theta_a, mu, system.q_a)
     if np.any(theta <= 0.0):
         raise CoercivityError(
             "minimum-theta bound inapplicable: non-positive theta weight"
@@ -186,13 +189,3 @@ class CertifiedErrorEstimator:
             return dual / np.sqrt(coercivity_lb(self.model, system, mu))
 
         return delta
-
-
-def export_bound_sweep(path, rows):
-    """Write a bound sweep as CSV (mu, delta_en, true_error, effectivity, delta_s)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mu,delta_en,true_error,effectivity,delta_s\n")
-        for mu, d_en, err, eff, d_s in rows:
-            fh.write(
-                f"{mu:.17g},{d_en:.17g},{err:.17g},{eff:.17g},{d_s:.17g}\n"
-            )

@@ -17,41 +17,22 @@ from . import active_subspaces as asub
 from . import certification, fom, interpolation, morphing, rb
 
 
-def _apply_thread_limit():
-    """Honor MOR_THREADS by capping the BLAS/OpenMP thread pools."""
-    raw = os.environ.get("MOR_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer MOR_THREADS={raw!r}", file=sys.stderr)
-        return
-    if n <= 0:  # zero means automatic sizing
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
-def _load_config(path):
-    if path is None:
-        return {}
+def _load_json_descriptor(path):
+    """Parse a JSON object file; any failure raises a ``path:line:`` error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _DescriptorError(path, exc.lineno, exc.msg)
     except OSError as exc:
         raise _DescriptorError(path, 0, str(exc))
-    if not isinstance(cfg, dict):
+    if not isinstance(data, dict):
         raise _DescriptorError(path, 1, "top-level value must be an object")
-    return cfg
+    return data
+
+
+def _load_config(path):
+    return {} if path is None else _load_json_descriptor(path)
 
 
 class _DescriptorError(Exception):
@@ -75,19 +56,6 @@ def _out_dir(args, cfg, default):
     out = _resolve(args, cfg, "out", default)
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +92,8 @@ def _run_thermal_block(args, cfg):
         e = truth.coefficients - rb.lift(basis, u_n)
         errors.append(system.gram_norm(e))
     history_rows[-1] = (basis.size, basis.history[-1][1], max(errors))
-    _write_csv(os.path.join(out, "greedy_history.csv"),
-               "N,max_delta,max_true_error", history_rows)
+    fom.write_csv(os.path.join(out, "greedy_history.csv"),
+                  "N,max_delta,max_true_error", history_rows)
 
     sweep = []
     for mu in system.domain.uniform_grid(20):
@@ -136,7 +104,8 @@ def _run_thermal_block(args, cfg):
         err = system.gram_norm(e)
         eff = d_en / err if err > 0 else np.inf
         sweep.append((float(mu[0]), d_en, err, eff, d_s))
-    certification.export_bound_sweep(os.path.join(out, "bound_sweep.csv"), sweep)
+    fom.write_csv(os.path.join(out, "bound_sweep.csv"),
+                  "mu,delta_en,true_error,effectivity,delta_s", sweep)
 
     rb.save_rom(romsys, os.path.join(out, "rom"))
     print(f"basis size {basis.size}, final max bound {basis.history[-1][1]:.3e}")
@@ -160,8 +129,8 @@ def _run_eim_demo(args, cfg):
                                             parameters=list(params))
     basis = interpolation.eim_build(samples, tol=tol, n_max=n_max)
 
-    _write_csv(os.path.join(out, "eim_history.csv"), "q,epsilon",
-               [(q + 1, e) for q, e in enumerate(basis.error_history)])
+    fom.write_csv(os.path.join(out, "eim_history.csv"), "q,epsilon",
+                  [(q + 1, e) for q, e in enumerate(basis.error_history)])
     interpolation.export_eim_basis(basis, out, points=points)
 
     # reduced solves with the interpolated forcing against the full solves
@@ -186,7 +155,7 @@ def _run_eim_demo(args, cfg):
         u = spla.spsolve(sp.csc_matrix(system.assemble_matrix(mu)), f)
         err = system.gram_norm(u - exact.coefficients)
         rows.append((float(mu[0]), float(mu[1]), err))
-    _write_csv(os.path.join(out, "interp_solve_error.csv"), "mu_1,mu_2,error", rows)
+    fom.write_csv(os.path.join(out, "interp_solve_error.csv"), "mu_1,mu_2,error", rows)
     print(f"interpolation basis size {basis.size}, outputs written to {out}")
     return 0
 
@@ -225,7 +194,7 @@ def _run_deim_demo(args, cfg):
             den = np.linalg.norm(a.toarray()) + np.linalg.norm(c.toarray())
             errs.append(num / den)
         rows.append((n_terms, max(errs)))
-    _write_csv(os.path.join(out, "mdeim_decay.csv"), "n_terms,max_error", rows)
+    fom.write_csv(os.path.join(out, "mdeim_decay.csv"), "n_terms,max_error", rows)
     print(f"operator interpolation decay written to {out}")
     return 0
 
@@ -240,7 +209,8 @@ def _run_asub_demo(args, cfg):
         asub.quadratic_form, domain, train_size, seed, grad=asub.quadratic_form_grad
     )
     subspace = asub.estimate_subspace(samples)
-    asub.export_eigenvalues_csv(os.path.join(out, "eigenvalues.csv"), subspace)
+    fom.write_csv(os.path.join(out, "eigenvalues.csv"), "index,lambda",
+                  [(i + 1, lam) for i, lam in enumerate(subspace.eigenvalues)])
     asub.export_summary_csv(os.path.join(out, "summary.csv"), subspace, samples)
     print(
         f"active dimension {subspace.active_dim}, "
@@ -280,16 +250,6 @@ def _run_morph(args, cfg):
     return 0
 
 
-def _load_json_descriptor(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _DescriptorError(path, exc.lineno, exc.msg)
-    except OSError as exc:
-        raise _DescriptorError(path, 0, str(exc))
-
-
 def _run_rom(args, cfg):
     if args.action == "save":
         return _run_thermal_block(args, cfg)
@@ -312,8 +272,8 @@ def _run_rom(args, cfg):
     print(f"s_N({mu.tolist()}) = {s_n:.17g}")
     out = _resolve(args, cfg, "out", None)
     if out:
-        _write_csv(out, "index,coefficient",
-                   [(k + 1, v) for k, v in enumerate(u_n)])
+        fom.write_csv(out, "index,coefficient",
+                      [(k + 1, v) for k, v in enumerate(u_n)])
     return 0
 
 
@@ -381,7 +341,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_limit()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "rom" and args.action in ("load", "solve") and not args.model_dir:

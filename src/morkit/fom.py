@@ -69,6 +69,26 @@ class ParamDomain:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def affine_weights(theta_map, mu, count):
+    """Evaluate a theta map at ``mu``, checking it gives ``count`` weights."""
+    theta = np.atleast_1d(np.asarray(theta_map(mu), dtype=float))
+    if theta.shape != (count,):
+        raise ValueError(
+            f"theta map returned {theta.shape[0]} weights for {count} affine terms"
+        )
+    return theta
+
+
+def affine_sum(theta_map, terms, mu):
+    """The affine combination sum_q theta_q(mu) * terms[q] (0 for no terms).
+
+    Works for sparse and dense terms alike; every assembly of a
+    parameter-dependent operator, load or output goes through here.
+    """
+    theta = affine_weights(theta_map, mu, len(terms))
+    return sum(t * term for t, term in zip(theta, terms))
+
+
 @dataclass
 class AffineSystem:
     """Parametrized linear system as theta-weighted sums of constant terms.
@@ -120,27 +140,13 @@ class AffineSystem:
         return len(self.rhs_terms)
 
     def assemble_matrix(self, mu):
-        theta = np.atleast_1d(np.asarray(self.theta_a(mu), dtype=float))
-        if theta.shape[0] != self.q_a:
-            raise ValueError("theta_a returned a wrong number of weights")
-        a = theta[0] * self.matrix_terms[0]
-        for q in range(1, self.q_a):
-            a = a + theta[q] * self.matrix_terms[q]
-        return a
+        return affine_sum(self.theta_a, self.matrix_terms, mu)
 
     def assemble_rhs(self, mu):
-        theta = np.atleast_1d(np.asarray(self.theta_f(mu), dtype=float))
-        f = np.zeros(self.dof_count)
-        for q in range(self.q_f):
-            f += theta[q] * self.rhs_terms[q]
-        return f
+        return affine_sum(self.theta_f, self.rhs_terms, mu)
 
     def assemble_output(self, mu):
-        theta = np.atleast_1d(np.asarray(self.theta_l(mu), dtype=float))
-        l = np.zeros(self.dof_count)
-        for q, lq in enumerate(self.output_terms):
-            l += theta[q] * lq
-        return l
+        return affine_sum(self.theta_l, self.output_terms, mu)
 
     def gram_solve(self, b):
         """Solve gram x = b, caching the sparse factorization."""
@@ -540,9 +546,15 @@ def nonlinear_solve(fom, mu, guess=None, tol=1e-9, max_iter=50):
     )
 
 
-def export_solution_csv(path, nodes, values):
-    """Write node coordinates and values as CSV (x,y,value)."""
+def write_csv(path, header, rows):
+    """Write ``header``, then one comma-separated line per row.
+
+    Integers are written as integers and every other value with 17
+    significant digits, so floats round-trip exactly.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(nodes, values):
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fields = (str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
+                      for v in row)
+            fh.write(",".join(fields) + "\n")

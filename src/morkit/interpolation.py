@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
+from .fom import NewtonError
 
 
 @dataclass
@@ -224,16 +225,14 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
 
 def deim_eval(basis, sampled_values):
     """Reconstruct a full vector from its entries at the magic indices."""
-    v = np.asarray(sampled_values, dtype=float)
-    if v.shape[0] != basis.size:
-        raise ValueError("expected one sampled value per magic index")
-    pth = basis.basis[basis.magic_indices, :]
-    return basis.basis @ np.linalg.solve(pth, v)
+    return basis.basis @ deim_coefficients(basis, sampled_values)
 
 
 def deim_coefficients(basis, sampled_values):
     """Expansion coefficients from entries at the magic indices."""
     v = np.asarray(sampled_values, dtype=float)
+    if v.shape[0] != basis.size:
+        raise ValueError("expected one sampled value per magic index")
     pth = basis.basis[basis.magic_indices, :]
     return np.linalg.solve(pth, v)
 
@@ -272,21 +271,26 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     and ``convection_matrix(u)``; the exact operators enter only through
     their magic entries. The Jacobian drops the derivative of the
     solution-dependent coefficients, so the iteration is quasi-Newton.
+    Raises :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not
+    reach ``tol``.
     """
     mass = problem.mass.toarray() if hasattr(problem.mass, "toarray") else np.asarray(problem.mass)
     f = np.asarray(problem.forcing, dtype=float)
     u = np.zeros(f.shape[0])
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         a_rec = mdeim_reconstruct(a_basis, problem.diffusion_matrix(mu))
         c_rec = mdeim_reconstruct(c_basis, problem.convection_matrix(u))
         op = mass + a_rec + c_rec
         r = op @ u - f
-        if np.linalg.norm(r) <= tol:
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol:
             return u
-        u = u - np.linalg.solve(op, r)
-    r_norm = float(np.linalg.norm(r))
-    raise RuntimeError(
-        f"operator-interpolated iteration stalled at residual {r_norm:.3e}"
+        if it < max_iter:
+            u = u - np.linalg.solve(op, r)
+    raise NewtonError(
+        f"operator-interpolated iteration stalled after {max_iter} iterations "
+        f"at residual {r_norm:.3e}",
+        r_norm,
     )
 
 

@@ -5,7 +5,6 @@ set) from the parameter-dependent control data, and deform arbitrary point
 clouds in 2-d or 3-d.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,11 +339,6 @@ def morph_from_descriptor(descriptor):
             exponent=descriptor.get("exponent", 2),
         )
     raise MorphBuildError(f"unknown morph type {kind!r}")
-
-
-def load_descriptor(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def deform(morph, points):

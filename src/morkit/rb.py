@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .fom import THETA_REGISTRY, fom_solve
+from .fom import THETA_REGISTRY, affine_sum, fom_solve
 
 
 @dataclass
@@ -197,19 +197,10 @@ def project(system, basis):
 
 def rom_solve(rom, mu):
     """Dense N x N online solve; cost independent of the full-order size."""
-    theta_a = np.atleast_1d(np.asarray(rom.theta_a(mu), dtype=float))
-    theta_f = np.atleast_1d(np.asarray(rom.theta_f(mu), dtype=float))
-    a = np.zeros((rom.size, rom.size))
-    for q, aq in enumerate(rom.reduced_matrix_terms):
-        a += theta_a[q] * aq
-    f = np.zeros(rom.size)
-    for q, fq in enumerate(rom.reduced_rhs_terms):
-        f += theta_f[q] * fq
+    a = affine_sum(rom.theta_a, rom.reduced_matrix_terms, mu)
+    f = affine_sum(rom.theta_f, rom.reduced_rhs_terms, mu)
     u_n = linalg.solve(a, f)
-    theta_l = np.atleast_1d(np.asarray(rom.theta_l(mu), dtype=float))
-    s_n = 0.0
-    for q, lq in enumerate(rom.reduced_output_terms):
-        s_n += theta_l[q] * float(lq @ u_n)
+    s_n = float(affine_sum(rom.theta_l, rom.reduced_output_terms, mu) @ u_n)
     return u_n, s_n
 
 
@@ -222,6 +213,13 @@ def lift(basis, u_n):
 
 
 ROM_FORMAT_VERSION = 1
+
+# payload key prefix of each group of reduced affine terms
+_TERM_GROUPS = (
+    ("a", "reduced_matrix_terms"),
+    ("f", "reduced_rhs_terms"),
+    ("l", "reduced_output_terms"),
+)
 
 
 def save_rom(rom, directory):
@@ -240,9 +238,7 @@ def save_rom(rom, directory):
     manifest = {
         "format_version": ROM_FORMAT_VERSION,
         "size": rom.size,
-        "q_a": len(rom.reduced_matrix_terms),
-        "q_f": len(rom.reduced_rhs_terms),
-        "q_l": len(rom.reduced_output_terms),
+        **{f"q_{key}": len(getattr(rom, attr)) for key, attr in _TERM_GROUPS},
         "theta_name": rom.theta_name,
         "selected_parameters": [
             list(map(float, p)) for p in (basis.selected_parameters if basis else [])
@@ -253,13 +249,11 @@ def save_rom(rom, directory):
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    payload = {}
-    for q, aq in enumerate(rom.reduced_matrix_terms):
-        payload[f"a_{q}"] = aq
-    for q, fq in enumerate(rom.reduced_rhs_terms):
-        payload[f"f_{q}"] = fq
-    for q, lq in enumerate(rom.reduced_output_terms):
-        payload[f"l_{q}"] = lq
+    payload = {
+        f"{key}_{q}": term
+        for key, attr in _TERM_GROUPS
+        for q, term in enumerate(getattr(rom, attr))
+    }
     np.savez(os.path.join(directory, "payload.npz"), **payload)
 
 
@@ -274,13 +268,12 @@ def load_rom(directory):
         raise ValueError(f"unknown theta registry entry {name!r}")
     theta_a, theta_f, theta_l = THETA_REGISTRY[name]
     with np.load(os.path.join(directory, "payload.npz")) as payload:
-        reduced_a = [payload[f"a_{q}"] for q in range(manifest["q_a"])]
-        reduced_f = [payload[f"f_{q}"] for q in range(manifest["q_f"])]
-        reduced_l = [payload[f"l_{q}"] for q in range(manifest["q_l"])]
+        terms = {
+            attr: [payload[f"{key}_{q}"] for q in range(manifest[f"q_{key}"])]
+            for key, attr in _TERM_GROUPS
+        }
     return RomSystem(
-        reduced_matrix_terms=reduced_a,
-        reduced_rhs_terms=reduced_f,
-        reduced_output_terms=reduced_l,
+        **terms,
         theta_a=theta_a,
         theta_f=theta_f,
         theta_l=theta_l,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morkit import active_subspaces as asub
-from morkit.fom import ParamDomain
+from morkit.fom import ParamDomain, write_csv
 
 
 def _cube_domain(p):
@@ -210,7 +210,8 @@ class TestSummary:
                                         grad=asub.paraboloid_grad)
         s = asub.estimate_subspace(samples, split=1)
         asub.export_summary_csv(tmp_path / "summary.csv", s, samples)
-        asub.export_eigenvalues_csv(tmp_path / "eig.csv", s)
+        write_csv(tmp_path / "eig.csv", "index,lambda",
+                  [(i + 1, lam) for i, lam in enumerate(s.eigenvalues)])
         summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
         assert summary[0] == "mu_M_1,f"
         assert len(summary) == 11

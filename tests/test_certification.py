@@ -1,5 +1,7 @@
 """Residual-based error bounds: Riesz oracles, coercivity bound, rigor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -70,6 +72,16 @@ class TestCoercivity:
         lam = scipy.linalg.eigh(a, g, eigvals_only=True)[0]
         assert abs(model.alpha_bar - lam) < 1e-10 * max(abs(lam), 1.0)
 
+    def test_reference_eigenvalue_bitwise_deterministic(self):
+        # n = 32 takes the sparse ARPACK path, whose start vector must be fixed
+        system = fom.assemble_thermal_block(n=32)
+        alphas = [
+            certification.build_coercivity_model(system, np.array([0.5]),
+                                                 check_terms=False).alpha_bar
+            for _ in range(2)
+        ]
+        assert alphas[0] == alphas[1]
+
     def test_lower_bound_below_truth(self, thermal_system):
         system = thermal_system
         model = certification.build_coercivity_model(system, np.array([0.5]))
@@ -123,6 +135,34 @@ class TestCoercivity:
         )
         with pytest.raises(certification.CoercivityError):
             certification.build_coercivity_model(broken, np.array([0.5]))
+
+
+def _one_weight_too_many(theta_map):
+    return lambda mu: np.append(theta_map(mu), 1.0)
+
+
+@pytest.mark.parametrize("site", ["assemble_rhs", "assemble_output", "rom_solve",
+                                  "residual_dual_norm", "coercivity_lb"])
+def test_wrong_theta_weight_count_rejected(thermal_greedy, site):
+    system, model, basis = thermal_greedy
+    mu = np.array([0.4])
+    bad = dataclasses.replace(
+        system,
+        theta_a=_one_weight_too_many(system.theta_a),
+        theta_f=_one_weight_too_many(system.theta_f),
+        theta_l=_one_weight_too_many(system.theta_l),
+    )
+    calls = {
+        "assemble_rhs": lambda: bad.assemble_rhs(mu),
+        "assemble_output": lambda: bad.assemble_output(mu),
+        "rom_solve": lambda: rb.rom_solve(rb.project(bad, basis), mu),
+        "residual_dual_norm": lambda: certification.residual_dual_norm(
+            certification.riesz_offline(system, basis), bad, mu, np.ones(basis.size)
+        ),
+        "coercivity_lb": lambda: certification.coercivity_lb(model, bad, mu),
+    }
+    with pytest.raises(ValueError, match="weights for"):
+        calls[site]()
 
 
 class TestBoundRigor:
@@ -181,7 +221,7 @@ class TestExport:
     def test_bound_sweep_csv(self, tmp_path):
         rows = [(0.1, 1e-3, 1e-4, 10.0, 1e-6)]
         path = tmp_path / "sweep.csv"
-        certification.export_bound_sweep(path, rows)
+        fom.write_csv(path, "mu,delta_en,true_error,effectivity,delta_s", rows)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "mu,delta_en,true_error,effectivity,delta_s"
         assert len(lines) == 2

@@ -60,6 +60,13 @@ class TestMorphCommand:
         err = capsys.readouterr().err
         assert "broken.json:3:" in err
 
+    def test_non_object_descriptor_exit_2(self, cloud, tmp_path, capsys):
+        path, _ = cloud
+        descriptor = tmp_path / "list.json"
+        descriptor.write_text("[1, 2]\n")
+        assert _run(["morph", "idw", str(path), str(descriptor)]) == 2
+        assert "list.json:1: top-level value must be an object" in capsys.readouterr().err
+
     def test_descriptor_kind_mismatch_exit_2(self, cloud, tmp_path, capsys):
         path, _ = cloud
         descriptor = tmp_path / "morph.json"
@@ -179,19 +186,3 @@ class TestRomCommands:
         with pytest.raises(SystemExit) as exc:
             _run(["rom", "solve", str(tmp_path)])
         assert exc.value.code == 2
-
-
-class TestThreadEnv:
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("MOR_THREADS", "0")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        cli._apply_thread_limit()
-        import os
-
-        assert "OMP_NUM_THREADS" not in os.environ
-
-    def test_invalid_value_warns_and_continues(self, monkeypatch, capsys):
-        monkeypatch.setenv("MOR_THREADS", "lots")
-        cli._apply_thread_limit()
-        assert "MOR_THREADS" in capsys.readouterr().err

@@ -223,8 +223,13 @@ class TestCsvExport:
         nodes = np.array([[0.1, 0.2], [0.3, 0.4]])
         values = np.array([1.0 / 3.0, 2.0 / 7.0])
         path = tmp_path / "solution.csv"
-        fom.export_solution_csv(path, nodes, values)
+        fom.write_csv(path, "x,y,value", np.column_stack([nodes, values]))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,y,value"
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed[:, 2], values)
+
+    def test_integers_written_as_integers(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        fom.write_csv(path, "k,v", [(1, 0.5), (np.int64(2), 0.25)])
+        assert path.read_text() == "k,v\n1,0.5\n2,0.25\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from morkit import interpolation
+from morkit import fom, interpolation
 
 
 def _deim_reference_indices(snapshots):
@@ -301,9 +301,8 @@ class TestGappy:
 
 
 class TestOperatorNewton:
-    def test_converges_and_tracks_truth(self, nonlinear_problem):
-        from morkit import fom
-
+    @pytest.fixture(scope="class")
+    def operator_bases(self, nonlinear_problem):
         problem = nonlinear_problem
         mus = problem.domain.sample(15, 56)
         a_snaps, c_snaps = [], []
@@ -314,11 +313,23 @@ class TestOperatorNewton:
             c_snaps.append(c)
         ab = interpolation.mdeim_build(a_snaps, tol=0.0, n_max=8)
         cb = interpolation.mdeim_build(c_snaps, tol=0.0, n_max=8)
+        return ab, cb
+
+    def test_converges_and_tracks_truth(self, nonlinear_problem, operator_bases):
+        problem = nonlinear_problem
+        ab, cb = operator_bases
         mu = np.array([0.05, -0.15])
         truth = fom.nonlinear_solve(problem, mu)
         approx = interpolation.mdeim_nonlinear_solve(problem, ab, cb, mu)
         rel = np.linalg.norm(approx - truth) / np.linalg.norm(truth)
         assert rel < 0.05
+
+    def test_stall_raises_newton_error(self, nonlinear_problem, operator_bases):
+        ab, cb = operator_bases
+        with pytest.raises(fom.NewtonError) as err:
+            interpolation.mdeim_nonlinear_solve(nonlinear_problem, ab, cb,
+                                                np.array([0.05, -0.15]), max_iter=1)
+        assert err.value.residual_norm > 0.0
 
 
 class TestExport:
