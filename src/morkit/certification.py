@@ -98,18 +98,30 @@ def _arpack_start(n):
     return np.random.default_rng(0).random(n)
 
 
-def _smallest_generalized_eig(a, gram):
-    """Smallest eigenvalue of a x = lambda gram x (both sparse SPD)."""
+def _smallest_eig(a, gram=None):
+    """Smallest eigenvalue of a x = lambda gram x; gram defaults to the identity.
+
+    Up to 400 unknowns the problem is solved densely. Larger ones use ARPACK
+    in shift-invert mode, which finds the eigenvalue nearest the shift, so
+    the shift must lie below the spectrum. With ``gram`` (the reference
+    operator, SPD) it is 0. Without, ``a`` is an affine term that may be
+    singular or indefinite; no eigenvalue of a symmetric matrix lies below
+    -||a||_1, so the shift is a little further down. An extremal ("SA")
+    iteration cannot resolve the zero eigenvalue of a term that lives on
+    half the domain.
+    """
     n = a.shape[0]
     if n <= 400:
         import scipy.linalg
 
-        vals = scipy.linalg.eigh(
-            np.asarray(a.todense()), np.asarray(gram.todense()), eigvals_only=True
-        )
-        return float(vals[0])
+        dense_gram = None if gram is None else gram.toarray()
+        return float(scipy.linalg.eigh(a.toarray(), dense_gram, eigvals_only=True)[0])
+    if gram is None:
+        sigma = -1.001 * (spla.norm(a, 1) or 1.0)
+    else:
+        sigma, gram = 0, sp.csc_matrix(gram)
     vals = spla.eigsh(
-        sp.csc_matrix(a), k=1, M=sp.csc_matrix(gram), sigma=0, which="LM",
+        sp.csc_matrix(a), k=1, M=gram, sigma=sigma, which="LM",
         return_eigenvectors=False, v0=_arpack_start(n),
     )
     return float(vals[0])
@@ -127,12 +139,12 @@ def build_coercivity_model(system, mu_bar, check_terms=True):
         raise CoercivityError("reference theta weights must all be positive")
     if check_terms:
         for q, a in enumerate(system.matrix_terms):
-            lam = _term_min_eig(a)
+            lam = _smallest_eig(a)
             if lam < -1e-8 * max(_matrix_scale(a), 1.0):
                 raise CoercivityError(
                     f"affine matrix term {q} is not positive semidefinite"
                 )
-    alpha_bar = _smallest_generalized_eig(system.assemble_matrix(mu_bar), system.gram)
+    alpha_bar = _smallest_eig(system.assemble_matrix(mu_bar), system.gram)
     if alpha_bar <= 0.0:
         raise CoercivityError("reference matrix is not coercive")
     return CoercivityModel(mu_bar=mu_bar, theta_bar=theta_bar, alpha_bar=alpha_bar)
@@ -140,17 +152,6 @@ def build_coercivity_model(system, mu_bar, check_terms=True):
 
 def _matrix_scale(a):
     return float(np.abs(a.data).max()) if a.nnz else 0.0
-
-
-def _term_min_eig(a):
-    n = a.shape[0]
-    if n <= 400:
-        import scipy.linalg
-
-        return float(scipy.linalg.eigvalsh(np.asarray(a.todense()))[0])
-    vals = spla.eigsh(sp.csc_matrix(a), k=1, which="SA", return_eigenvectors=False,
-                      maxiter=5000, tol=1e-8, v0=_arpack_start(n))
-    return float(vals[0])
 
 
 def coercivity_lb(model, system, mu):

@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import active_subspaces as asub
 from . import certification, fom, interpolation, morphing, rb
@@ -189,9 +190,8 @@ def _run_deim_demo(args, cfg):
             a, c = problem.operator_snapshot(u, mu)
             a_rec = interpolation.mdeim_reconstruct(a_basis, a)
             c_rec = interpolation.mdeim_reconstruct(c_basis, c)
-            num = (np.linalg.norm(a.toarray() - a_rec)
-                   + np.linalg.norm(c.toarray() - c_rec))
-            den = np.linalg.norm(a.toarray()) + np.linalg.norm(c.toarray())
+            num = spla.norm(a - a_rec) + spla.norm(c - c_rec)
+            den = spla.norm(a) + spla.norm(c)
             errs.append(num / den)
         rows.append((n_terms, max(errs)))
     fom.write_csv(os.path.join(out, "mdeim_decay.csv"), "n_terms,max_error", rows)

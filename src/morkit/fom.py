@@ -191,17 +191,13 @@ def _element_connectivity(n):
     """Local-to-global node indices for each of the n*n elements.
 
     Node (i, j) on the (n+1)x(n+1) grid has global index i*(n+1)+j, i along x.
-    Element (i, j) covers [x_i, x_{i+1}] x [y_j, y_{j+1}].
+    Element (i, j) covers [x_i, x_{i+1}] x [y_j, y_{j+1}]; elements are
+    numbered i*n + j.
     """
-    conn = np.empty((n * n, 4), dtype=int)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            n00 = i * (n + 1) + j
-            n10 = (i + 1) * (n + 1) + j
-            conn[k] = (n00, n10, n10 + 1, n00 + 1)
-            k += 1
-    return conn
+    i, j = np.divmod(np.arange(n * n), n)
+    n00 = i * (n + 1) + j
+    n10 = n00 + n + 1
+    return np.stack([n00, n10, n10 + 1, n00 + 1], axis=1)
 
 
 def _assemble(conn, n_nodes, local_matrices):
@@ -450,6 +446,12 @@ class NonlinearFom:
     ``nonlin_coeff * mean(u)^2`` (solution dependent). Homogeneous Dirichlet
     on the whole boundary. Exposes the two operator snapshots for matrix
     hyper-reduction.
+
+    ``mass``, ``diffusion_matrix`` and ``convection_matrix`` are CSR matrices
+    on one restricted Q1 pattern, and their ``data`` arrays follow its slot
+    order. The stiffness data is ``stiffness_scatter @ coef``, a sparse
+    nnz x elements map applied to per-element coefficients, so the entries
+    at a few slots need the coefficients of the few elements that touch them.
     """
 
     def __init__(self, n=12, nonlin_coeff=0.01):
@@ -469,36 +471,66 @@ class NonlinearFom:
         self.centers = nodes[conn].mean(axis=1)
         self.domain = ParamDomain([-0.5, -0.5], [0.5, 0.5])
 
-        mass = _assemble(conn, n_nodes, np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4)))
-        self.mass = _restrict(mass, self.interior)
-        self._k_unit_ref = _KX_REF + _KY_REF  # hx = hy
-
         # map global node indices to interior dof indices (-1 for boundary)
         self._dof_of_node = -np.ones(n_nodes, dtype=int)
         self._dof_of_node[self.interior] = np.arange(len(self.interior))
-        self.dof_count = len(self.interior)
-        self.forcing = np.asarray(mass @ np.ones(n_nodes))[self.interior]
+        self.dof_count = m = len(self.interior)
 
-    def _coef_stiffness(self, coef_per_element):
-        local = coef_per_element[:, None, None] * self._k_unit_ref
-        n_nodes = (self.n + 1) * (self.n + 1)
-        a = _assemble(self.conn, n_nodes, local)
-        return _restrict(a, self.interior)
+        # element-local entry (e, 4a + b) couples dofs[e, a] and dofs[e, b];
+        # entries with a boundary node are dropped, the rest land on slots
+        dofs = self._dof_of_node[conn]
+        rows = np.repeat(dofs, 4, axis=1).ravel()
+        cols = np.tile(dofs, (1, 4)).ravel()
+        inside = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self._keys, slot = np.unique(rows[inside] * m + cols[inside], return_inverse=True)
+        self._indptr = np.searchsorted(self._keys, np.arange(m + 1) * m)
+        self._indices = self._keys % m
+        self._scatter = sp.csr_matrix(
+            (np.ones(len(inside)), (slot, inside)), shape=(len(self._keys), 16 * len(conn))
+        )
+        self._k_unit_ref = _KX_REF + _KY_REF  # hx = hy
+        self.stiffness_scatter = sp.csr_matrix(
+            self._scatter @ sp.kron(sp.identity(len(conn)), self._k_unit_ref.reshape(16, 1))
+        )
+        local_mass = np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4))
+        self.mass = self.on_pattern(self._scatter @ local_mass.ravel())
+        self.forcing = np.asarray(_assemble(conn, n_nodes, local_mass) @ np.ones(n_nodes))[
+            self.interior]
+
+    def on_pattern(self, data):
+        """The CSR matrix with ``data`` on the pattern slots."""
+        m = self.dof_count
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(m, m))
+
+    def entry_slots(self, rows, cols):
+        """Pattern slots of the dof entries (rows[k], cols[k])."""
+        keys = np.asarray(rows) * self.dof_count + np.asarray(cols)
+        slots = np.searchsorted(self._keys, keys)
+        if np.any(slots >= len(self._keys)) or np.any(self._keys[slots] != keys):
+            raise ValueError("entry outside the operator pattern")
+        return slots
 
     def _full_u(self, u):
         full = np.zeros((self.n + 1) * (self.n + 1))
         full[self.interior] = u
         return full
 
+    def diffusion_coefficients(self, mu, elements=slice(None)):
+        """Coefficient of A(mu) on the given elements (all by default)."""
+        return nu_gaussian(self.centers[elements], mu)
+
+    def convection_coefficients(self, u, elements=slice(None)):
+        """Coefficient of C(u) on the given elements (all by default)."""
+        mean_u = self._full_u(u)[self.conn[elements]].mean(axis=1)
+        return self.nonlin_coeff * mean_u ** 2
+
     def diffusion_matrix(self, mu):
         """A(mu): stiffness with the non-affine coefficient at element centers."""
-        return self._coef_stiffness(nu_gaussian(self.centers, mu))
+        return self.on_pattern(self.stiffness_scatter @ self.diffusion_coefficients(mu))
 
     def convection_matrix(self, u):
         """C(u): stiffness with the solution-dependent element coefficient."""
-        full = self._full_u(u)
-        mean_u = full[self.conn].mean(axis=1)
-        return self._coef_stiffness(self.nonlin_coeff * mean_u ** 2)
+        return self.on_pattern(self.stiffness_scatter @ self.convection_coefficients(u))
 
     def operator_snapshot(self, u, mu):
         return self.diffusion_matrix(mu), self.convection_matrix(u)
@@ -508,19 +540,16 @@ class NonlinearFom:
         return self.mass @ u + a @ u + c @ u - self.forcing
 
     def jacobian(self, u, mu):
-        a, c = self.operator_snapshot(u, mu)
-        jac = (self.mass + a + c).toarray()
-        # derivative of the C(u) coefficients: coef_e = k (mean u_e)^2
-        full = self._full_u(u)
-        mean_u = full[self.conn].mean(axis=1)
-        dcoef = self.nonlin_coeff * 2.0 * mean_u / 4.0  # d coef / d u_node
-        ku = np.einsum("ij,ej->ei", self._k_unit_ref, full[self.conn])
-        for e, elem in enumerate(self.conn):
-            dofs = self._dof_of_node[elem]
-            inside = dofs >= 0
-            di = dofs[inside]
-            jac[np.ix_(di, di)] += np.outer(ku[e][inside], np.full(inside.sum(), dcoef[e]))
-        return jac
+        """Sparse Jacobian M + A(mu) + C(u) + dC/du u, in one scatter."""
+        u_e = self._full_u(u)[self.conn]
+        mean_u = u_e.mean(axis=1)
+        coef = self.diffusion_coefficients(mu) + self.nonlin_coeff * mean_u ** 2
+        # derivative of the C(u) coefficients: coef_e = k (mean u_e)^2, so
+        # d coef_e / d u_node = k 2 mean_u / 4 for each of the element's nodes
+        dcoef = self.nonlin_coeff * 2.0 * mean_u / 4.0
+        ku = np.einsum("ij,ej->ei", self._k_unit_ref, u_e)
+        local = coef[:, None, None] * self._k_unit_ref + (dcoef[:, None] * ku)[:, :, None]
+        return self.on_pattern(self.mass.data + self._scatter @ local.ravel())
 
 
 def nonlinear_solve(fom, mu, guess=None, tol=1e-9, max_iter=50):
@@ -533,8 +562,7 @@ def nonlinear_solve(fom, mu, guess=None, tol=1e-9, max_iter=50):
         resid_norm = float(np.linalg.norm(r))
         if resid_norm <= tol:
             return u
-        jac = fom.jacobian(u, mu)
-        u = u - np.linalg.solve(jac, r)
+        u = u - spla.spsolve(fom.jacobian(u, mu), r, permc_spec="MMD_AT_PLUS_A")
     r = fom.residual(u, mu)
     resid_norm = float(np.linalg.norm(r))
     if resid_norm <= tol:

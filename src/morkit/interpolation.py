@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import linalg
 from .fom import NewtonError
@@ -61,7 +63,10 @@ class DeimBasis:
     magic_indices: list
     singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
     error_history: list = field(default_factory=list)
-    matrix_shape: tuple = None  # set for operator (vectorized-matrix) bases
+    # operator bases: the matrix shape, and the column-major flat index
+    # (row + n_rows * col) of the entry each basis row holds
+    matrix_shape: tuple = None
+    pattern: np.ndarray = None
 
     @property
     def size(self):
@@ -71,8 +76,8 @@ class DeimBasis:
         """Magic indices mapped back to (row, col) operator entries."""
         if self.matrix_shape is None:
             raise ValueError("not an operator basis")
-        n_rows, n_cols = self.matrix_shape
-        return [(i % n_rows, i // n_rows) for i in self.magic_indices]
+        n_rows = self.matrix_shape[0]
+        return [(int(f % n_rows), int(f // n_rows)) for f in self.pattern[self.magic_indices]]
 
 
 def _column_norms(r, p_norm):
@@ -238,55 +243,99 @@ def deim_coefficients(basis, sampled_values):
 
 
 def mdeim_build(operator_snapshots, tol=1e-10, n_max=None):
-    """Matrix variant: the builder runs on vectorized operator snapshots."""
-    mats = [np.asarray(a.todense()) if hasattr(a, "todense") else np.asarray(a, dtype=float)
-            for a in operator_snapshots]
-    shape = mats[0].shape
-    for a in mats:
-        if a.shape != shape:
+    """Matrix DEIM on the union nonzero pattern of the operator snapshots.
+
+    Each snapshot, sparse or dense, contributes its nonzero entries. The
+    union pattern is kept in column-major order, the order of the vectorized
+    matrix, so the greedy argmax breaks ties as it would on the full vector.
+    The builder runs on the nnz x snapshots matrix: the basis rows are the
+    pattern entries and ``magic_indices`` index those rows.
+    """
+    mats = []
+    for a in operator_snapshots:
+        a = sp.csc_matrix(a, dtype=float, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if mats and a.shape != mats[0].shape:
             raise ValueError("operator snapshots must share one shape")
-    stacked = np.column_stack([a.reshape(-1, order="F") for a in mats])
+        mats.append(a)
+    n_rows = mats[0].shape[0]
+    keys = [a.indices + n_rows * np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+            for a in mats]
+    pattern = np.unique(np.concatenate(keys))
+    stacked = np.zeros((len(pattern), len(mats)))
+    for k, (key, a) in enumerate(zip(keys, mats)):
+        stacked[np.searchsorted(pattern, key), k] = a.data
     basis = deim_build(stacked, tol=tol, n_max=n_max)
-    basis.matrix_shape = shape
+    basis.matrix_shape = mats[0].shape
+    basis.pattern = pattern
     return basis
 
 
-def mdeim_matrix_coefficients(basis, operator):
-    """Expansion coefficients of an operator from its magic entries."""
-    a = np.asarray(operator.todense()) if hasattr(operator, "todense") else np.asarray(operator, dtype=float)
-    sampled = np.array([a[i, j] for i, j in basis.magic_entries()])
-    return deim_coefficients(basis, sampled)
-
-
 def mdeim_reconstruct(basis, operator):
-    """Reconstruct a full operator matrix from its magic entries."""
-    vec = basis.basis @ mdeim_matrix_coefficients(basis, operator)
-    return vec.reshape(basis.matrix_shape, order="F")
+    """Reconstruct an operator, sparse on the basis pattern, from its magic entries."""
+    rows, cols = np.array(basis.magic_entries()).T
+    if not sp.issparse(operator):
+        operator = np.asarray(operator, dtype=float)
+    sampled = np.asarray(operator[rows, cols], dtype=float).ravel()
+    values = basis.basis @ deim_coefficients(basis, sampled)
+    cols, rows = np.divmod(basis.pattern, basis.matrix_shape[0])
+    return sp.csr_matrix((values, (rows, cols)), shape=basis.matrix_shape)
+
+
+def _modes_on_slots(problem, basis):
+    """The basis modes on the problem's pattern slots, and the magic slots."""
+    cols, rows = np.divmod(basis.pattern, basis.matrix_shape[0])
+    slots = problem.entry_slots(rows, cols)
+    modes = np.zeros((len(problem.mass.data), basis.size))
+    modes[slots] = basis.basis
+    return modes, slots[basis.magic_indices]
+
+
+def reduced_mesh(problem, magic_slots):
+    """The elements that touch the entries at ``magic_slots``, the reduced mesh.
+
+    Also returns the dense map from coefficients on those elements to the
+    entries: the rows ``magic_slots`` of ``problem.stiffness_scatter``
+    restricted to the mesh.
+    """
+    rows = problem.stiffness_scatter[magic_slots]
+    mesh = np.unique(rows.indices)
+    return mesh, rows[:, mesh].toarray()
 
 
 def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
-    """Newton-type solve with both operators replaced by their interpolants.
+    """Hyper-reduced quasi-Newton solve with both operators interpolated.
 
-    ``problem`` must expose ``mass``, ``forcing``, ``diffusion_matrix(mu)``
-    and ``convection_matrix(u)``; the exact operators enter only through
-    their magic entries. The Jacobian drops the derivative of the
-    solution-dependent coefficients, so the iteration is quasi-Newton.
-    Raises :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not
-    reach ``tol``.
+    ``problem`` is a :class:`~morkit.fom.NonlinearFom`. The operators are
+    never assembled: their coefficients are evaluated only on the reduced
+    mesh, the elements that touch a magic entry, and the magic entries are
+    ``stiffness_scatter[magic] @ coef`` there. A(mu) is interpolated once per
+    solve; each iteration updates the data of the operator on its fixed
+    sparse pattern and does one sparse LU. The state keeps full dimension.
+    The Jacobian drops the derivative of the solution-dependent
+    coefficients, so the iteration is quasi-Newton. Raises
+    :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not reach
+    ``tol``.
     """
-    mass = problem.mass.toarray() if hasattr(problem.mass, "toarray") else np.asarray(problem.mass)
+    a_modes, a_slots = _modes_on_slots(problem, a_basis)
+    c_modes, c_slots = _modes_on_slots(problem, c_basis)
+    mesh, g = reduced_mesh(problem, np.concatenate([a_slots, c_slots]))
+    g_a, g_c = g[:a_basis.size], g[a_basis.size:]
+    a_values = g_a @ problem.diffusion_coefficients(mu, mesh)
+    fixed = problem.mass.data + a_modes @ deim_coefficients(a_basis, a_values)
+    op = problem.on_pattern(np.empty_like(fixed))  # data set by each iteration
     f = np.asarray(problem.forcing, dtype=float)
     u = np.zeros(f.shape[0])
     for it in range(max_iter + 1):
-        a_rec = mdeim_reconstruct(a_basis, problem.diffusion_matrix(mu))
-        c_rec = mdeim_reconstruct(c_basis, problem.convection_matrix(u))
-        op = mass + a_rec + c_rec
+        c_values = g_c @ problem.convection_coefficients(u, mesh)
+        op.data[:] = fixed + c_modes @ deim_coefficients(c_basis, c_values)
         r = op @ u - f
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol:
             return u
         if it < max_iter:
-            u = u - np.linalg.solve(op, r)
+            u = u - spla.spsolve(op, r, permc_spec="MMD_AT_PLUS_A")
     raise NewtonError(
         f"operator-interpolated iteration stalled after {max_iter} iterations "
         f"at residual {r_norm:.3e}",

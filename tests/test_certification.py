@@ -82,6 +82,14 @@ class TestCoercivity:
         ]
         assert alphas[0] == alphas[1]
 
+    def test_term_check_resolves_zero_eigenvalue(self):
+        # n = 64 takes the sparse path; each term vanishes on half the domain
+        system = fom.assemble_thermal_block(n=64)
+        certification.build_coercivity_model(system, np.array([0.5]), check_terms=True)
+        half = system.matrix_terms[0]
+        lam = certification._smallest_eig(half)
+        assert abs(lam) <= 1e-8 * np.abs(half.data).max()
+
     def test_lower_bound_below_truth(self, thermal_system):
         system = thermal_system
         model = certification.build_coercivity_model(system, np.array([0.5]))

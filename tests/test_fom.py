@@ -198,7 +198,7 @@ class TestNonlinearFom:
         rng = np.random.default_rng(12)
         u = 0.1 * rng.standard_normal(problem.dof_count)
         mu = np.array([0.2, -0.3])
-        jac = problem.jacobian(u, mu)
+        jac = problem.jacobian(u, mu).toarray()
         fd = np.zeros_like(jac)
         h = 1e-6
         for j in range(problem.dof_count):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from morkit import fom, interpolation
 
@@ -18,6 +19,42 @@ def _deim_reference_indices(snapshots):
         r = modes[:, k] - h @ c
         indices.append(int(np.argmax(np.abs(r))))
     return indices
+
+
+def _dense_quasi_newton(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
+    """The operator-interpolated iteration on assembled, densified operators.
+
+    Returns the solution and the number of steps it took.
+    """
+    def reconstruct(basis, operator):
+        rows, cols = np.array(basis.magic_entries()).T
+        coeff = np.linalg.solve(basis.basis[basis.magic_indices],
+                                operator.toarray()[rows, cols])
+        full = np.zeros(basis.matrix_shape[0] * basis.matrix_shape[1])
+        full[basis.pattern] = basis.basis @ coeff
+        return full.reshape(basis.matrix_shape, order="F")
+
+    mass = problem.mass.toarray()
+    u = np.zeros(problem.dof_count)
+    for it in range(max_iter + 1):
+        op = (mass + reconstruct(a_basis, problem.diffusion_matrix(mu))
+              + reconstruct(c_basis, problem.convection_matrix(u)))
+        r = op @ u - problem.forcing
+        if np.linalg.norm(r) <= tol:
+            return u, it
+        u = u - np.linalg.solve(op, r)
+    raise AssertionError("reference iteration stalled")
+
+
+def _operator_bases(problem, q, mus):
+    """Q-term MDEIM bases of A(mu) and C(u) from Newton solves at ``mus``."""
+    a_snaps, c_snaps = [], []
+    for mu in mus:
+        a, c = problem.operator_snapshot(fom.nonlinear_solve(problem, mu), mu)
+        a_snaps.append(a)
+        c_snaps.append(c)
+    return (interpolation.mdeim_build(a_snaps, tol=0.0, n_max=q),
+            interpolation.mdeim_build(c_snaps, tol=0.0, n_max=q))
 
 
 def _brute_force_lebesgue(basis):
@@ -258,6 +295,49 @@ class TestMdeim:
         assert worst <= 1e-9
 
 
+class TestMdeimPattern:
+    @pytest.fixture(scope="class")
+    def fine_problem(self):
+        return fom.NonlinearFom(n=48)
+
+    def test_stores_nonzero_pattern_rows(self, fine_problem):
+        problem = fine_problem
+        snaps = [problem.diffusion_matrix(mu) for mu in problem.domain.sample(4, 57)]
+        basis = interpolation.mdeim_build(snaps, tol=1e-14)
+        assert basis.basis.shape[0] == len(basis.pattern) == snaps[0].nnz
+        # a generator densifies one snapshot at a time
+        dense = interpolation.mdeim_build((a.toarray() for a in snaps), tol=1e-14)
+        assert dense.magic_entries() == basis.magic_entries()
+        assert np.array_equal(dense.pattern, basis.pattern)
+
+    def test_explicit_zeros_left_out(self):
+        a = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
+        a.data[1] = 0.0  # stored entry (1, 0) is now an explicit zero
+        basis = interpolation.mdeim_build([a, 2.0 * a], tol=1e-14)
+        assert basis.pattern.tolist() == [0, 3]  # column-major (0, 0), (1, 1)
+
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_reduced_mesh_bounded_by_magic_entries(self, n, fine_problem, monkeypatch):
+        # the solve evaluates coefficients on at most 4 elements per magic
+        # entry whatever the grid, and never assembles a full operator
+        problem = fine_problem if n == 48 else fom.NonlinearFom(n=n)
+        q = 6
+        ab, cb = _operator_bases(problem, q, problem.domain.sample(8, 58))
+        sizes = []
+        for name in ("diffusion_coefficients", "convection_coefficients"):
+            original = getattr(problem, name)
+
+            def spy(arg, elements=slice(None), original=original):
+                sizes.append(len(problem.centers[elements]))
+                return original(arg, elements)
+
+            monkeypatch.setattr(problem, name, spy)
+        for name in ("diffusion_matrix", "convection_matrix", "jacobian"):
+            monkeypatch.setattr(problem, name, None)
+        interpolation.mdeim_nonlinear_solve(problem, ab, cb, np.array([0.1, -0.2]))
+        assert sizes and max(sizes) <= 4 * (ab.size + cb.size)
+
+
 class TestGappy:
     def test_square_case_matches_interpolation(self):
         rng = np.random.default_rng(53)
@@ -323,6 +403,18 @@ class TestOperatorNewton:
         approx = interpolation.mdeim_nonlinear_solve(problem, ab, cb, mu)
         rel = np.linalg.norm(approx - truth) / np.linalg.norm(truth)
         assert rel < 0.05
+
+    @pytest.mark.parametrize("mu", [[0.05, -0.15], [-0.4, 0.3]])
+    def test_matches_dense_reference(self, nonlinear_problem, operator_bases, mu):
+        problem = nonlinear_problem
+        ab, cb = operator_bases
+        ref, steps = _dense_quasi_newton(problem, ab, cb, np.array(mu))
+        u = interpolation.mdeim_nonlinear_solve(problem, ab, cb, np.array(mu),
+                                                max_iter=steps)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        with pytest.raises(fom.NewtonError):
+            interpolation.mdeim_nonlinear_solve(problem, ab, cb, np.array(mu),
+                                                max_iter=steps - 1)
 
     def test_stall_raises_newton_error(self, nonlinear_problem, operator_bases):
         ab, cb = operator_bases
