@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import rb
-from .fom import affine_weights
+from . import linalg, rb
+from .fom import affine_weights, weighted_sum
 
 
 class CoercivityError(ValueError):
@@ -22,13 +22,12 @@ class CoercivityError(ValueError):
 
 @dataclass
 class ResidualOffline:
-    """Riesz representers of the Q_f + N*Q_a residual terms and their grams.
+    """Cross grams of the Riesz representers of the Q_f + N*Q_a residual terms.
 
     Term ordering: load terms first, then for each basis column n the Q_a
-    operator terms applied to that column.
+    operator terms applied to that column. Holds nothing of full-order size.
     """
 
-    riesz_vectors: np.ndarray  # N_h x (Q_f + N Q_a)
     cross_gram: np.ndarray
     q_f: int
     q_a: int
@@ -42,43 +41,75 @@ class ResidualOffline:
         self._factor = np.sqrt(lam)[:, None] * w.T
 
 
+class _RieszTerms:
+    """Raw residual terms and their Riesz representers, grown column by column.
+
+    Both are N_h x (Q_f + N Q_a) arrays, laid out as a fresh column stack.
+    Owns its gram factorization; a new basis column costs Q_a gram solves.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self.factor = system.gram_factor()
+        self.basis = np.zeros((system.dof_count, 0))
+        self.raw = np.zeros((system.dof_count, 0))
+        self.reps = self.raw
+        self._append([np.asarray(f, dtype=float) for f in system.rhs_terms])
+
+    def _append(self, columns):
+        reps = [self.system.gram_solve(col, self.factor) for col in columns]
+        self.raw = np.column_stack([self.raw, *columns])
+        self.reps = np.column_stack([self.reps, *reps])
+
+    def extends(self, system, v):
+        """Whether ``v`` starts with the basis columns already processed."""
+        n = self.basis.shape[1]
+        return (system is self.system and v.shape[1] >= n
+                and np.array_equal(v[:, :n], self.basis))
+
+    def extend(self, v):
+        self._append([np.asarray(a @ v[:, k]) for k in range(self.basis.shape[1], v.shape[1])
+                      for a in self.system.matrix_terms])
+        self.basis = v.copy()
+
+    def offline(self):
+        cross = self.reps.T @ self.raw  # representer_j . gram . representer_k
+        return ResidualOffline(
+            cross_gram=0.5 * (cross + cross.T),
+            q_f=self.system.q_f,
+            q_a=self.system.q_a,
+            basis_size=self.basis.shape[1],
+        )
+
+
 def riesz_offline(system, basis):
     """Solve the gram Riesz problems for every affine residual term."""
-    v = basis.basis
-    n = v.shape[1]
-    raw = [np.asarray(f, dtype=float) for f in system.rhs_terms]
-    for k in range(n):
-        zeta = v[:, k]
-        for a in system.matrix_terms:
-            raw.append(np.asarray(a @ zeta))
-    raw = np.column_stack(raw) if raw else np.zeros((system.dof_count, 0))
-    representers = np.column_stack(
-        [system.gram_solve(raw[:, j]) for j in range(raw.shape[1])]
-    ) if raw.shape[1] else raw
-    cross = representers.T @ raw  # representer_j . gram . representer_k
-    cross = 0.5 * (cross + cross.T)
-    return ResidualOffline(
-        riesz_vectors=representers,
-        cross_gram=cross,
-        q_f=system.q_f,
-        q_a=system.q_a,
-        basis_size=n,
-    )
+    terms = _RieszTerms(system)
+    terms.extend(basis.basis)
+    return terms.offline()
 
 
-def _residual_coefficients(offline, system, mu, u_n):
+def _residual_coefficients(theta_f, theta_a, u_n):
+    """Residual coefficient rows from stacked weights and reduced solutions."""
+    product = u_n[:, :, None] * theta_a[:, None, :]
+    return np.concatenate([theta_f, -product.reshape(len(u_n), -1)], axis=1)
+
+
+def _dual_norms(offline, coefficients):
+    # one matrix-vector product per row: a matrix product over the stack
+    # would round differently near convergence
+    return np.array([np.linalg.norm(offline._factor @ c) for c in coefficients])
+
+
+def residual_dual_norm(offline, system, mu, u_n):
+    """Dual norm of the reduced-solution residual via the offline cross gram."""
     u_n = np.asarray(u_n, dtype=float)
     if u_n.shape[0] != offline.basis_size:
         raise ValueError("reduced coefficient length does not match offline data")
     theta_f = affine_weights(system.theta_f, mu, offline.q_f)
     theta_a = affine_weights(system.theta_a, mu, offline.q_a)
-    return np.concatenate([theta_f, -np.outer(u_n, theta_a).ravel()])
-
-
-def residual_dual_norm(offline, system, mu, u_n):
-    """Dual norm of the reduced-solution residual via the offline cross gram."""
-    c = _residual_coefficients(offline, system, mu, u_n)
-    return float(np.linalg.norm(offline._factor @ c))
+    c = _residual_coefficients(theta_f[None], theta_a[None], u_n[None])
+    return float(_dual_norms(offline, c)[0])
 
 
 @dataclass
@@ -154,14 +185,19 @@ def _matrix_scale(a):
     return float(np.abs(a.data).max()) if a.nnz else 0.0
 
 
-def coercivity_lb(model, system, mu):
-    """Minimum-theta coercivity lower bound at a parameter point."""
-    theta = affine_weights(system.theta_a, mu, system.q_a)
-    if np.any(theta <= 0.0):
+def _coercivity_lbs(model, theta_a):
+    """Minimum-theta lower bounds for stacked weight rows (M x Q_a)."""
+    if np.any(theta_a <= 0.0):
         raise CoercivityError(
             "minimum-theta bound inapplicable: non-positive theta weight"
         )
-    return model.alpha_bar * float(np.min(theta / model.theta_bar))
+    return model.alpha_bar * np.min(theta_a / model.theta_bar, axis=1)
+
+
+def coercivity_lb(model, system, mu):
+    """Minimum-theta coercivity lower bound at a parameter point."""
+    theta = affine_weights(system.theta_a, mu, system.q_a)
+    return float(_coercivity_lbs(model, theta[None])[0])
 
 
 def error_bounds(offline, model, system, rom, mu):
@@ -176,17 +212,32 @@ def error_bounds(offline, model, system, rom, mu):
 
 @dataclass
 class CertifiedErrorEstimator:
-    """Error-bound provider for the greedy loop (energy-norm bound)."""
+    """Error-bound provider for the greedy loop (energy-norm bound).
+
+    Keeps the raw residual terms, their Riesz representers and its own gram
+    factorization between calls, so a basis grown by one column costs Q_a
+    gram solves. Another system, or a basis that does not extend the last
+    one, starts afresh.
+    """
 
     model: CoercivityModel
+    _riesz: _RieszTerms = field(default=None, init=False, repr=False)
 
     def delta_function(self, system, basis):
-        offline = riesz_offline(system, basis)
+        """Energy bound over a stack of parameter points (M x p) -> (M,)."""
+        v = basis.basis
+        if self._riesz is None or not self._riesz.extends(system, v):
+            self._riesz = _RieszTerms(system)
+        self._riesz.extend(v)
+        offline = self._riesz.offline()
         romsys = rb.project(system, basis)
 
-        def delta(mu):
-            u_n, _ = rb.rom_solve(romsys, mu)
-            dual = residual_dual_norm(offline, system, mu, u_n)
-            return dual / np.sqrt(coercivity_lb(self.model, system, mu))
+        def delta(mus):
+            theta_f = np.array([affine_weights(system.theta_f, mu, system.q_f) for mu in mus])
+            theta_a = np.array([affine_weights(system.theta_a, mu, system.q_a) for mu in mus])
+            u_n = linalg.solve_stack(weighted_sum(theta_a, romsys.reduced_matrix_terms),
+                                     weighted_sum(theta_f, romsys.reduced_rhs_terms))
+            dual = _dual_norms(offline, _residual_coefficients(theta_f, theta_a, u_n))
+            return dual / np.sqrt(_coercivity_lbs(self.model, theta_a))
 
         return delta

@@ -171,23 +171,20 @@ def _run_deim_demo(args, cfg):
     params = problem.domain.sample(train_size, seed)
     a_snaps = []
     c_snaps = []
-    sol_snaps = []
     for mu in params:
-        u = fom.nonlinear_solve(problem, mu)
-        a, c = problem.operator_snapshot(u, mu)
+        a, c = problem.operator_snapshot(fom.nonlinear_solve(problem, mu), mu)
         a_snaps.append(a)
         c_snaps.append(c)
-        sol_snaps.append(u)
+    # held-out operators, solved once for every term count
+    test_ops = [problem.operator_snapshot(fom.nonlinear_solve(problem, mu), mu)
+                for mu in problem.domain.sample(5, seed + 1)]
 
     rows = []
-    test_mu = problem.domain.sample(5, seed + 1)
     for n_terms in (2, 4, 6, 8, 10):
         a_basis = interpolation.mdeim_build(a_snaps, tol=0.0, n_max=n_terms)
         c_basis = interpolation.mdeim_build(c_snaps, tol=0.0, n_max=n_terms)
         errs = []
-        for mu in test_mu:
-            u = fom.nonlinear_solve(problem, mu)
-            a, c = problem.operator_snapshot(u, mu)
+        for a, c in test_ops:
             a_rec = interpolation.mdeim_reconstruct(a_basis, a)
             c_rec = interpolation.mdeim_reconstruct(c_basis, c)
             num = spla.norm(a - a_rec) + spla.norm(c - c_rec)

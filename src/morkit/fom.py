@@ -85,8 +85,19 @@ def affine_sum(theta_map, terms, mu):
     Works for sparse and dense terms alike; every assembly of a
     parameter-dependent operator, load or output goes through here.
     """
-    theta = affine_weights(theta_map, mu, len(terms))
-    return sum(t * term for t, term in zip(theta, terms))
+    return weighted_sum(affine_weights(theta_map, mu, len(terms)), terms)
+
+
+def weighted_sum(weights, terms):
+    """The sum over q of weights[..., q] * terms[q], for one row or a stack.
+
+    A 1-d ``weights`` gives one sum and works for sparse terms. An (M, Q)
+    stack gives the M sums of dense terms stacked, each bitwise equal to
+    the sum of its own row: the products and additions are the same.
+    """
+    if weights.ndim == 2:
+        weights = weights.T[(...,) + (None,) * np.ndim(terms[0])]
+    return sum(w * term for w, term in zip(weights, terms))
 
 
 @dataclass
@@ -125,7 +136,6 @@ class AffineSystem:
         if self.output_terms is None:
             self.output_terms = [f for f in self.rhs_terms]
             self.theta_l = self.theta_f
-        self._gram_solver = None
 
     @property
     def dof_count(self):
@@ -148,16 +158,20 @@ class AffineSystem:
     def assemble_output(self, mu):
         return affine_sum(self.theta_l, self.output_terms, mu)
 
-    def gram_solve(self, b):
-        """Solve gram x = b, caching the sparse factorization."""
-        if self._gram_solver is None:
-            try:
-                self._gram_solver = spla.factorized(sp.csc_matrix(self.gram))
-            except RuntimeError as exc:
-                raise np.linalg.LinAlgError(
-                    f"gram factorization failed: {exc}"
-                ) from exc
-        return self._gram_solver(np.asarray(b, dtype=float))
+    def gram_factor(self):
+        """Sparse LU solver of the gram matrix, owned by the caller.
+
+        The system keeps no factorization, so none outlives the offline
+        work that needed it.
+        """
+        try:
+            return spla.factorized(sp.csc_matrix(self.gram))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(f"gram factorization failed: {exc}") from exc
+
+    def gram_solve(self, b, factor):
+        """Solve gram x = b with ``factor`` from :meth:`gram_factor`."""
+        return factor(np.asarray(b, dtype=float))
 
     def gram_norm(self, v):
         return float(np.sqrt(max(v @ (self.gram @ v), 0.0)))

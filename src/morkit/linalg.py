@@ -81,23 +81,39 @@ def sym_eig(c, sym_tol=1e-12):
 
 
 def solve(a, b, pivot_rtol=1e-14):
-    """Solve the dense linear system a x = b with explicit singularity check."""
+    """Solve the dense linear system a x = b with explicit singularity check.
+
+    A pivot of the LU factorization below ``pivot_rtol`` times the largest
+    one raises :class:`SingularMatrixError`.
+    """
     a = check_matrix(a, "solve matrix")
     b = check_vector(b, "solve rhs")
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")
     if a.shape[0] != b.shape[0]:
         raise ValueError("rhs length does not match matrix dimension")
-    import warnings
+    return _lu_solve(a, b, pivot_rtol)
 
-    with warnings.catch_warnings():
-        # the explicit pivot check below reports singularity as an exception
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+
+def solve_stack(a, b, pivot_rtol=1e-14):
+    """Solve a[m] x[m] = b[m] for every m; row m is bitwise :func:`solve`'s."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
+        raise ValueError(f"solve_stack needs M x n x n and M x n, got {a.shape}, {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("solve_stack input contains non-finite entries")
+    return np.array([_lu_solve(a_m, b_m, pivot_rtol) for a_m, b_m in zip(a, b)])
+
+
+def _lu_solve(a, b, pivot_rtol):
+    # the LAPACK calls of scipy.linalg.lu_factor / lu_solve, without their
+    # input checks and warning machinery; info > 0 marks an exact zero pivot
+    lu, piv, info = scipy.linalg.lapack.dgetrf(a)
     diag = np.abs(np.diag(lu))
-    if diag.min() <= pivot_rtol * max(diag.max(), np.finfo(float).tiny):
+    if info or diag.min() <= pivot_rtol * max(diag.max(), np.finfo(float).tiny):
         raise SingularMatrixError("matrix is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
 
 
 def orthonormalize(v, basis, gram=None, deflation_ratio=1e-10):

@@ -117,13 +117,13 @@ def greedy(system, training_set, tol, mu1, n_max, estimator):
     """Iterative basis enrichment at the worst-estimated parameter.
 
     ``estimator`` must provide ``delta_function(system, basis)`` returning a
-    callable evaluating the error bound at a parameter point. Records the
-    per-iteration (N, max bound) history; stops on tolerance, basis size cap
-    or snapshot deflation (saturation).
+    callable that maps the stacked training points (M x p) to their M error
+    bounds. Records the per-iteration (N, max bound) history; stops on
+    tolerance, basis size cap or snapshot deflation (saturation).
     """
-    training = [np.atleast_1d(np.asarray(m, dtype=float)) for m in training_set]
-    if not training:
+    if len(training_set) == 0:
         raise ValueError("training set must be nonempty")
+    training = np.stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in training_set])
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     gram = system.gram
 
@@ -136,8 +136,9 @@ def greedy(system, training_set, tol, mu1, n_max, estimator):
     )
 
     while True:
-        delta = estimator.delta_function(system, basis)
-        bounds = np.array([delta(mu) for mu in training])
+        bounds = np.asarray(estimator.delta_function(system, basis)(training), dtype=float)
+        if bounds.shape != (len(training),):
+            raise ValueError(f"estimator gave {bounds.shape} bounds for {len(training)} points")
         j_star = int(np.argmax(bounds))  # argmax ties -> smallest index
         max_delta = float(bounds[j_star])
         basis.history.append((basis.size, max_delta))

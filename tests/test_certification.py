@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from morkit import certification, fom, rb
+from morkit import certification, fom, linalg, rb
 
 
 def _direct_dual_norm(system, mu, u_full_approx):
     """Per-parameter Riesz oracle: assemble the residual, solve one gram system."""
     residual = system.assemble_rhs(mu) - system.assemble_matrix(mu) @ u_full_approx
-    representer = system.gram_solve(residual)
+    representer = system.gram_solve(residual, system.gram_factor())
     return float(np.sqrt(max(representer @ residual, 0.0)))
 
 
 def _quadratic_form_noise_floor(offline, system, mu, u_n):
     """Round-off scale of the small quadratic form, for near-zero residuals."""
-    c = certification._residual_coefficients(offline, system, mu, u_n)
+    theta_f = fom.affine_weights(system.theta_f, mu, system.q_f)
+    theta_a = fom.affine_weights(system.theta_a, mu, system.q_a)
+    c = np.concatenate([theta_f, -np.outer(u_n, theta_a).ravel()])
     magnitude = float(np.abs(c) @ (np.abs(offline.cross_gram) @ np.abs(c)))
     return float(np.sqrt(np.finfo(float).eps * max(magnitude, 1.0)))
 
@@ -42,8 +44,6 @@ class TestResidualDualNorm:
         system = thermal_system
         mu = [0.37]
         truth = fom.fom_solve(system, mu)
-        from morkit import linalg
-
         zeta = linalg.orthonormalize(truth.coefficients,
                                      np.zeros((system.dof_count, 0)), system.gram)
         basis = rb.ReducedBasis(basis=zeta.reshape(-1, 1), gram=system.gram)
@@ -223,6 +223,108 @@ class TestBoundRigor:
                 system.assemble_matrix([mu]).toarray(), g, eigvals_only=True
             )[0]
             assert dual / np.sqrt(lb) >= dual / np.sqrt(truth_alpha) - 1e-14
+
+
+def _flux_variant(system):
+    """The same operator with a y-varying edge load: a distinct system object."""
+    y = system.nodes[:, 1]
+    load = system.rhs_terms[0] * (1.0 + 0.3 * np.cos(np.pi * y))
+    return dataclasses.replace(system, rhs_terms=[load], output_terms=None)
+
+
+class _ReferenceChecked:
+    """Runs the stacked sweep and checks it against the per-point functions.
+
+    The reference builds its own Riesz data from scratch at every iteration.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.estimator = certification.CertifiedErrorEstimator(model=model)
+        self.iterations = 0
+
+    def delta_function(self, system, basis):
+        delta = self.estimator.delta_function(system, basis)
+        offline = certification.riesz_offline(system, basis)
+        romsys = rb.project(system, basis)
+
+        def checked(mus):
+            bounds = delta(mus)
+            reference = [
+                certification.residual_dual_norm(offline, system, mu,
+                                                 rb.rom_solve(romsys, mu)[0])
+                / np.sqrt(certification.coercivity_lb(self.model, system, mu))
+                for mu in mus
+            ]
+            assert bounds.shape == (len(mus),)
+            assert np.array_equal(bounds, reference)
+            self.iterations += 1
+            return bounds
+
+        return checked
+
+
+def _greedy(system, estimator, mu1=0.5, tol=1e-5, n_max=10, train=30):
+    return rb.greedy(system, list(system.domain.uniform_grid(train)), tol=tol,
+                     mu1=np.array([mu1]), n_max=n_max, estimator=estimator)
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("case", ["conftest", "grid32"])
+    def test_bounds_equal_per_point_reference(self, thermal_system, case):
+        system = thermal_system if case == "conftest" else fom.assemble_thermal_block(n=32)
+        model = certification.build_coercivity_model(system, np.array([0.5]),
+                                                      check_terms=False)
+        checked = _ReferenceChecked(model)
+        basis = _greedy(system, checked)
+        assert checked.iterations == len(basis.history) >= 2
+
+    def test_reused_estimator_matches_fresh_ones(self, thermal_system):
+        # another system, or a basis that does not extend the last one, must
+        # drop the cached Riesz data; the one-column runs leave a cache whose
+        # length alone does not tell it apart from the next basis
+        doubled = dataclasses.replace(thermal_system, output_terms=None,
+                                      rhs_terms=[2.0 * thermal_system.rhs_terms[0]])
+        flux = _flux_variant(thermal_system)
+        model = certification.build_coercivity_model(thermal_system, np.array([0.5]),
+                                                      check_terms=False)
+        reused = certification.CertifiedErrorEstimator(model=model)
+        runs = [(thermal_system, 0.5, 1), (thermal_system, 0.3, 1), (doubled, 0.3, 10),
+                (flux, 0.5, 10), (thermal_system, 0.5, 10)]
+        for system, mu1, n_max in runs:
+            again = _greedy(system, reused, mu1=mu1, n_max=n_max)
+            fresh = _greedy(system, certification.CertifiedErrorEstimator(model=model),
+                            mu1=mu1, n_max=n_max)
+            assert again.history == fresh.history
+            assert np.array_equal(again.basis, fresh.basis)
+            assert np.array_equal(again.selected_parameters, fresh.selected_parameters)
+
+    def test_singular_reduced_matrix_raises(self, thermal_system):
+        # all operator weights vanish at one training point
+        def theta_a(mu):
+            return fom.theta_thermal(mu) * (float(mu[0]) != 0.5)
+
+        system = dataclasses.replace(thermal_system, theta_a=theta_a)
+        model = certification.build_coercivity_model(thermal_system, np.array([0.5]),
+                                                      check_terms=False)
+        estimator = certification.CertifiedErrorEstimator(model=model)
+        with pytest.raises(linalg.SingularMatrixError):
+            rb.greedy(system, [np.array([0.3]), np.array([0.5])], tol=1e-12,
+                      mu1=np.array([0.7]), n_max=5, estimator=estimator)
+
+    def test_offline_build_keeps_no_full_order_data(self, thermal_system):
+        system = dataclasses.replace(thermal_system)
+        before = dict(vars(system))
+        model = certification.build_coercivity_model(system, np.array([0.5]),
+                                                      check_terms=False)
+        basis = _greedy(system, certification.CertifiedErrorEstimator(model=model))
+        offline = certification.riesz_offline(system, basis)
+        # the system gained no attribute, a cached factorization least of all
+        assert vars(system).keys() == before.keys()
+        assert all(vars(system)[k] is v for k, v in before.items())
+        for name, value in vars(offline).items():
+            assert not callable(value), name
+            assert system.dof_count not in np.shape(value), name
 
 
 class TestExport:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from morkit import cli, morphing
+from morkit import cli, fom, morphing
 
 
 def _run(argv):
@@ -135,6 +135,17 @@ class TestDemoCommands:
         errs = [float(line.split(",")[1]) for line in rows]
         assert len(errs) == 5
         assert errs[-1] < errs[0]
+
+    def test_deim_demo_solves_each_problem_once(self, tmp_path, monkeypatch):
+        # 15 training and 5 held-out problems, the held-out ones solved once
+        # for all five term counts rather than once per count
+        calls = []
+        solve = fom.nonlinear_solve
+        monkeypatch.setattr(fom, "nonlinear_solve",
+                            lambda problem, mu: calls.append(mu) or solve(problem, mu))
+        assert _run(["deim-demo", "--grid", "6", "--train-size", "15",
+                     "--out", str(tmp_path / "deim")]) == 0
+        assert len(calls) == 20
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "config.json"

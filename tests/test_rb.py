@@ -163,10 +163,14 @@ class TestGreedy:
             def delta_function(self, system, basis):
                 romsys = rb.project(system, basis)
 
-                def delta(mu):
-                    truth = fom.fom_solve(system, mu)
-                    u_n, _ = rb.rom_solve(romsys, mu)
-                    return system.gram_norm(truth.coefficients - rb.lift(basis, u_n))
+                def delta(mus):
+                    errors = []
+                    for mu in mus:
+                        truth = fom.fom_solve(system, mu)
+                        u_n, _ = rb.rom_solve(romsys, mu)
+                        errors.append(system.gram_norm(truth.coefficients
+                                                       - rb.lift(basis, u_n)))
+                    return np.array(errors)
 
                 return delta
 
