@@ -97,8 +97,9 @@ def _residual_coefficients(theta_f, theta_a, u_n):
 
 def _dual_norms(offline, coefficients):
     # one matrix-vector product per row: a matrix product over the stack
-    # would round differently near convergence
-    return np.array([np.linalg.norm(offline._factor @ c) for c in coefficients])
+    # would round differently near convergence; sqrt(r.r) is np.linalg.norm
+    rows = (offline._factor @ c for c in coefficients)
+    return np.array([np.sqrt(r.dot(r)) for r in rows])
 
 
 def residual_dual_norm(offline, system, mu, u_n):

@@ -110,8 +110,8 @@ def _lu_solve(a, b, pivot_rtol):
     # the LAPACK calls of scipy.linalg.lu_factor / lu_solve, without their
     # input checks and warning machinery; info > 0 marks an exact zero pivot
     lu, piv, info = scipy.linalg.lapack.dgetrf(a)
-    diag = np.abs(np.diag(lu))
-    if info or diag.min() <= pivot_rtol * max(diag.max(), np.finfo(float).tiny):
+    diag = np.abs(lu.diagonal()).tolist()  # Python min/max: cheaper at size N
+    if info or min(diag) <= pivot_rtol * max(max(diag), np.finfo(float).tiny):
         raise SingularMatrixError("matrix is numerically singular")
     return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
 
