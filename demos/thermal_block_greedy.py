@@ -15,11 +15,12 @@ def main():
     print(f"full-order size N_h = {system.dof_count}, Q_a = {system.q_a}")
 
     model = certification.build_coercivity_model(system, np.array([0.5]))
-    estimator = certification.CertifiedErrorEstimator(model=model)
     training = list(system.domain.uniform_grid(50))
 
-    basis = rb.greedy(system, training, tol=1e-6, mu1=np.array([0.5]),
-                      n_max=15, estimator=estimator)
+    # built inline, the estimator and its full-order Riesz data are freed
+    # when the greedy returns
+    basis = rb.greedy(system, training, tol=1e-6, mu1=np.array([0.5]), n_max=15,
+                      estimator=certification.CertifiedErrorEstimator(model=model))
     print("greedy history (N, max bound over training set):")
     for n, delta in basis.history:
         print(f"  N = {n}: {delta:.3e}")

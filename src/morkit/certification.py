@@ -236,8 +236,9 @@ class CertifiedErrorEstimator:
         def delta(mus):
             theta_f = np.array([affine_weights(system.theta_f, mu, system.q_f) for mu in mus])
             theta_a = np.array([affine_weights(system.theta_a, mu, system.q_a) for mu in mus])
-            u_n = linalg.solve_stack(weighted_sum(theta_a, romsys.reduced_matrix_terms),
-                                     weighted_sum(theta_f, romsys.reduced_rhs_terms))
+            a = weighted_sum(theta_a, romsys.reduced_matrix_terms)
+            b = weighted_sum(theta_f, romsys.reduced_rhs_terms)
+            u_n = np.array([linalg.solve(a_m, b_m) for a_m, b_m in zip(a, b)])
             dual = _dual_norms(offline, _residual_coefficients(theta_f, theta_a, u_n))
             return dual / np.sqrt(_coercivity_lbs(self.model, theta_a))
 

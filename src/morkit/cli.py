@@ -75,9 +75,9 @@ def _run_thermal_block(args, cfg):
     model = certification.build_coercivity_model(
         system, np.array([0.5]), check_terms=False
     )
-    estimator = certification.CertifiedErrorEstimator(model=model)
-    basis = rb.greedy(system, training, tol=tol, mu1=np.array([0.5]),
-                      n_max=n_max, estimator=estimator)
+    # the estimator's Riesz data is full-order sized: let it go with the greedy
+    basis = rb.greedy(system, training, tol=tol, mu1=np.array([0.5]), n_max=n_max,
+                      estimator=certification.CertifiedErrorEstimator(model=model))
 
     romsys = rb.project(system, basis)
     offline = certification.riesz_offline(system, basis)

@@ -26,7 +26,7 @@ def check_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -36,7 +36,7 @@ def check_vector(b, name="vector"):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError(f"{name} contains non-finite entries")
     return b
 
@@ -92,21 +92,6 @@ def solve(a, b, pivot_rtol=1e-14):
         raise ValueError("solve requires a square matrix")
     if a.shape[0] != b.shape[0]:
         raise ValueError("rhs length does not match matrix dimension")
-    return _lu_solve(a, b, pivot_rtol)
-
-
-def solve_stack(a, b, pivot_rtol=1e-14):
-    """Solve a[m] x[m] = b[m] for every m; row m is bitwise :func:`solve`'s."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
-        raise ValueError(f"solve_stack needs M x n x n and M x n, got {a.shape}, {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("solve_stack input contains non-finite entries")
-    return np.array([_lu_solve(a_m, b_m, pivot_rtol) for a_m, b_m in zip(a, b)])
-
-
-def _lu_solve(a, b, pivot_rtol):
     # the LAPACK calls of scipy.linalg.lu_factor / lu_solve, without their
     # input checks and warning machinery; info > 0 marks an exact zero pivot
     lu, piv, info = scipy.linalg.lapack.dgetrf(a)

@@ -1,11 +1,18 @@
 """Residual-based error bounds: Riesz oracles, coercivity bound, rigor."""
 
+import ast
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
+import morkit
 from morkit import certification, fom, linalg, rb
 
 
@@ -325,6 +332,101 @@ class TestStackedSweep:
         for name, value in vars(offline).items():
             assert not callable(value), name
             assert system.dof_count not in np.shape(value), name
+
+
+# Three certified builds, one BLAS thread: greedy histories and selected
+# parameters as float.hex, the basis, cross gram and error bounds of
+# twenty sweep points as SHA-256 prefixes of their bytes
+_GOLDEN_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from morkit import certification, fom, rb
+
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+    def certified(system, train, tol, n_max, check_terms):
+        model = certification.build_coercivity_model(system, np.array([0.5]),
+                                                      check_terms=check_terms)
+        basis = rb.greedy(system, list(system.domain.uniform_grid(train)), tol=tol,
+                          mu1=np.array([0.5]), n_max=n_max,
+                          estimator=certification.CertifiedErrorEstimator(model=model))
+        offline = certification.riesz_offline(system, basis)
+        romsys = rb.project(system, basis)
+        bounds = [certification.error_bounds(offline, model, system, romsys, mu)
+                  for mu in system.domain.uniform_grid(20)]
+        return {"history": [(n, float(d).hex()) for n, d in basis.history],
+                "selected": [float(m[0]).hex() for m in basis.selected_parameters],
+                "basis": digest(basis.basis), "cross_gram": digest(offline.cross_gram),
+                "bounds": digest(bounds)}
+
+    def flux(n, amplitudes):
+        base = fom.assemble_thermal_block(n=n)
+        modes = np.cos(np.pi * np.outer(base.nodes[:, 1], np.arange(1, len(amplitudes) + 1)))
+        load = base.rhs_terms[0] * (1.0 + modes @ np.asarray(amplitudes))
+        return fom.AffineSystem(matrix_terms=base.matrix_terms, rhs_terms=[load],
+                                theta_a=base.theta_a, theta_f=base.theta_f, gram=base.gram,
+                                domain=base.domain, theta_name=base.theta_name,
+                                nodes=base.nodes)
+
+    print({
+        "conftest": certified(fom.assemble_thermal_block(n=16, sigma1=1.0, sigma2=0.1),
+                              30, 1e-5, 10, True),
+        "grid32": certified(fom.assemble_thermal_block(n=32), 50, 1e-6, 15, False),
+        "flux32": certified(flux(32, [0.3, -0.2, 0.1, -0.4]), 100, 1e-6, 15, False),
+    })
+""")
+
+# recorded before the incremental Riesz data and the stacked sweep went in
+_GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+_GOLDEN = {
+    "conftest": {
+        "history": [(1, "0x1.2c55e369c589dp+4"), (2, "0x1.ae39b5e278230p-19")],
+        "selected": ["0x1.0000000000000p-1", "0x1.43b7543b7543cp-4"],
+        "basis": "a8ad91a3be20159c", "cross_gram": "e2278ed50eddd23c",
+        "bounds": "26622c633d5354c1",
+    },
+    "grid32": {
+        "history": [(1, "0x1.58bacd1a1da25p+1"), (2, "0x1.2e8dcaa3a83f4p-21")],
+        "selected": ["0x1.0000000000000p-1", "0x1.1515151515152p-4"],
+        "basis": "204e26d565874228", "cross_gram": "af12f7b255247917",
+        "bounds": "c86ed0febe588017",
+    },
+    "flux32": {
+        "history": [
+            (1, "0x1.81feadc304cefp+1"), (2, "0x1.6a6441d0aba63p+0"),
+            (3, "0x1.bd4245b6531ecp-5"), (4, "0x1.8f1ccb014d546p-8"),
+            (5, "0x1.fda50f980c639p-10"), (6, "0x1.8ddfd76cb0c4ap-12"),
+            (7, "0x1.38db8389fac0bp-14"), (8, "0x1.9cbc85e507678p-17"),
+            (9, "0x1.3e0043ce26d26p-19"), (10, "0x1.7596103df1ecfp-21"),
+        ],
+        "selected": [
+            "0x1.0000000000000p-1", "0x1.e1d66e82c9c22p-1", "0x1.e29917d363dd9p-5",
+            "0x1.f0cac5b3f5dc8p-4", "0x1.e5a3bd15cc4b0p-3", "0x1.afa6c7bb0eb37p-1",
+            "0x1.3a4c0a237c32bp-4", "0x1.6217519da7cb4p-1", "0x1.60511be1958b6p-2",
+            "0x1.d42686d7f3d56p-1",
+        ],
+        "basis": "0ef76234d8bf633f", "cross_gram": "52af5a1a452cb9b8",
+        "bounds": "38099f26b8f6136b",
+    },
+}
+
+
+class TestGoldenCertifiedBuild:
+    @pytest.mark.skipif(
+        {"numpy": np.__version__, "scipy": scipy.__version__} != _GOLDEN_VERSIONS,
+        reason="golden bits were recorded with numpy 2.4.6 and scipy 1.17.1",
+    )
+    def test_certified_numbers_match_recorded_bits(self):
+        # a threaded BLAS splits its sums by core count, so the build runs
+        # in a child process with one thread; the recording used the
+        # SkylakeX kernels of the bundled OpenBLAS
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(morkit.__file__)))
+        out = subprocess.run([sys.executable, "-c", _GOLDEN_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert ast.literal_eval(out) == _GOLDEN
 
 
 class TestExport:
