@@ -43,7 +43,6 @@ from .interpolation import (
     deim_eval,
     eim_build,
     eim_interpolate,
-    gappy_fit,
     lebesgue_constant,
     mdeim_build,
     mdeim_reconstruct,

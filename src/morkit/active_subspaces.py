@@ -75,24 +75,26 @@ def sample_gradients(f, domain, n, seed, grad=None):
 
     ``grad`` returns the physical-coordinate gradient; if omitted, central
     finite differences with step 1e-5 of the edge length are used. Gradients
-    are chain-ruled to the normalized coordinates before storage.
+    are chain-ruled to the normalized coordinates before storage. A
+    non-finite value or gradient raises :class:`GradientSampleError` naming
+    the first such sample, once all samples are evaluated.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     mus = domain.sample(n, seed)
-    half_width = 0.5 * (domain.upper - domain.lower)
     values = np.empty(n)
     grads = np.empty((n, domain.lower.shape[0]))
     for k in range(n):
         mu = mus[k]
         values[k] = float(f(mu))
-        g = grad(mu) if grad is not None else _fd_gradient(f, mu, domain)
-        g = np.asarray(g, dtype=float)
-        if not (np.isfinite(values[k]) and np.all(np.isfinite(g))):
-            raise GradientSampleError(
-                f"non-finite value or gradient at sample {k}, mu={mu}"
-            )
-        grads[k] = g * half_width  # d mu / d y = half width per direction
+        grads[k] = grad(mu) if grad is not None else _fd_gradient(f, mu, domain)
+    finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise GradientSampleError(
+            f"non-finite value or gradient at sample {k}, mu={mus[k]}"
+        )
+    grads *= 0.5 * (domain.upper - domain.lower)  # d mu / d y = half width
     return SampledGradients(parameters=mus, values=values, gradients=grads,
                             domain=domain)
 
@@ -176,12 +178,15 @@ def n_train_heuristic(k, p, alpha):
 
 
 def summary_data(subspace, samples):
-    """Sufficient summary rows: active coordinates paired with f values."""
-    rows = []
-    for mu, val in zip(samples.parameters, samples.values):
-        mu_m, _ = project_active(subspace, mu)
-        rows.append(np.concatenate([mu_m, [val]]))
-    return np.array(rows)
+    """Sufficient summary rows: active coordinates paired with f values.
+
+    The active coordinates are :func:`project_active`'s, computed for all
+    samples at once as a stack of the same (M, p) @ (p,) products; a single
+    (n, p) @ (p, M) product would round differently.
+    """
+    y = normalize_parameters(subspace.domain, samples.parameters)
+    active = np.matmul(subspace.active_basis.T, y[:, :, None])[:, :, 0]
+    return np.column_stack([active, samples.values])
 
 
 def subspace_distance(a, b):

@@ -150,10 +150,7 @@ def _run_eim_demo(args, cfg):
         g_at_magic = forcing(points[sub.magic_indices], mu)
         g_interp = interpolation.eim_interpolate(sub, g_at_magic)
         f = fom.gaussian_poisson_load(system, g_interp)
-        import scipy.sparse.linalg as spla
-        import scipy.sparse as sp
-
-        u = spla.spsolve(sp.csc_matrix(system.assemble_matrix(mu)), f)
+        u = spla.spsolve(system.assemble_matrix(mu).tocsc(), f)
         err = system.gram_norm(u - exact.coefficients)
         rows.append((float(mu[0]), float(mu[1]), err))
     fom.write_csv(os.path.join(out, "interp_solve_error.csv"), "mu_1,mu_2,error", rows)
@@ -248,8 +245,6 @@ def _run_morph(args, cfg):
 
 
 def _run_rom(args, cfg):
-    if args.action == "save":
-        return _run_thermal_block(args, cfg)
     directory = args.model_dir
     try:
         romsys = rb.load_rom(directory)
@@ -325,10 +320,10 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_run_morph)
 
-    p = sub.add_parser("rom", help="reduced model serialization")
-    p.add_argument("action", choices=("save", "load", "solve"))
-    p.add_argument("model_dir", nargs="?", default=None,
-                   help="model directory (load/solve)")
+    p = sub.add_parser("rom", help="load or solve a reduced model that "
+                                   "thermal-block saved")
+    p.add_argument("action", choices=("load", "solve"))
+    p.add_argument("model_dir", help="model directory")
     p.add_argument("--mu", nargs="+", default=None,
                    help="parameter point (solve)")
     _add_common(p)
@@ -340,8 +335,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rom" and args.action in ("load", "solve") and not args.model_dir:
-        parser.error("rom load/solve requires a model directory")
     if args.command == "rom" and args.action == "solve" and not args.mu:
         parser.error("rom solve requires --mu")
     try:

@@ -282,11 +282,10 @@ def assemble_thermal_block(n=32, sigma1=1.0, sigma2=1.0):
 
     # unit Neumann flux on the x=0 edge: trapezoidal edge load
     load = np.zeros(n_nodes)
-    for j in range(n):
-        load[j] += h / 2.0
-        load[j + 1] += h / 2.0
+    load[:n] += h / 2.0
+    load[1:n + 1] += h / 2.0
 
-    keep = np.array([k for k in range(n_nodes) if nodes[k, 0] < 1.0 - 1e-12])
+    keep = np.flatnonzero(nodes[:, 0] < 1.0 - 1e-12)
 
     terms = [_restrict(a, keep) for a in (a1, a2, a3, a4)]
     mass_r = _restrict(mass, keep)
@@ -592,11 +591,22 @@ def write_csv(path, header, rows):
     """Write ``header``, then one comma-separated line per row.
 
     Integers are written as integers and every other value with 17
-    significant digits, so floats round-trip exactly.
+    significant digits, so floats round-trip exactly. ``rows`` is an array or
+    an iterable of rows; all rows are formatted by one ``%`` operation, with
+    one line template per distinct sequence of value types.
     """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    templates, lines, values = {}, [], []
+    for row in rows:
+        types = tuple(map(type, row))
+        line = templates.get(types)
+        if line is None:
+            line = templates[types] = ",".join(
+                ["%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types]
+            )
+        lines.append(line)
+        values.extend(row)
+    lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fields = (str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
-                      for v in row)
-            fh.write(",".join(fields) + "\n")
+        fh.write(header + "\n" + "\n".join(lines) % tuple(values))

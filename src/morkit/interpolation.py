@@ -1,4 +1,4 @@
-"""Empirical interpolation family: EIM, DEIM, matrix DEIM and gappy least squares.
+"""Empirical interpolation family: EIM, DEIM and matrix DEIM.
 
 Greedy builders select hierarchical basis columns and "magic" sample indices;
 evaluation reconstructs a full field (or operator) from values at those few
@@ -341,20 +341,6 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
         f"at residual {r_norm:.3e}",
         r_norm,
     )
-
-
-def gappy_fit(basis, sample_indices, sampled_values):
-    """Least-squares coefficients from more sample indices than basis columns."""
-    basis = linalg.check_matrix(basis, "gappy basis")
-    idx = list(sample_indices)
-    if len(idx) < basis.shape[1]:
-        raise ValueError("need at least as many sample indices as basis columns")
-    rows = basis[idx, :]
-    if np.linalg.matrix_rank(rows) < basis.shape[1]:
-        raise ValueError("sampled rows are rank deficient")
-    coeff, _, _, _ = np.linalg.lstsq(rows, np.asarray(sampled_values, dtype=float),
-                                     rcond=None)
-    return coeff
 
 
 def export_eim_basis(basis, directory, points=None):

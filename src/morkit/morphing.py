@@ -69,8 +69,12 @@ def _bernstein_weights(t, degree):
 def ffd_weights(lattice, points):
     """Per-point tensor-Bernstein weights, reusable across displacements.
 
-    Returns ``(weights, inside)`` where weights has one row per point (zeros
-    for points outside the unit lattice image, which stay fixed).
+    Returns ``(weights, inside)``. ``weights`` is a C-ordered
+    (n_points, n_controls) array, one row per point, zero for points outside
+    the unit lattice image (those stay fixed); ``inside`` is the boolean row
+    mask. :func:`ffd_deform` applies the weights as one matrix product over
+    all rows, because a product over the inside rows alone may round
+    differently (the BLAS picks its kernel by the row count).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     local = (points - lattice.origin) @ lattice._axes_inv.T
@@ -100,38 +104,57 @@ def ffd_deform(lattice, points, weights=None):
         weights = ffd_weights(lattice, points)
     w, inside = weights
     disp_flat = lattice.displacements.reshape(-1, lattice.dim)
-    local_disp = w @ disp_flat
-    deformed = points + local_disp @ lattice.axes.T
-    deformed[~inside] = points[~inside]
-    return deformed
+    moved = points + (w @ disp_flat) @ lattice.axes.T
+    return np.where(inside[:, None], moved, points)
 
 
 # ---------------------------------------------------------------------------
 # radial basis function interpolation
+#
+# Each kernel maps an array of distances to kernel values and may overwrite
+# the array it is given, so that evaluating n x m distances needs no second
+# n x m array (thin-plate needs one for its logarithm).
 
 def _phi_gaussian(r, radius):
-    return np.exp(-(r ** 2) / radius)
+    np.square(r, out=r)
+    np.negative(r, out=r)
+    r /= radius
+    return np.exp(r, out=r)
 
 
 def _phi_thin_plate(r, radius):
-    q = r / radius
-    out = np.zeros_like(q)
-    mask = q > 0.0
-    out[mask] = q[mask] ** 2 * np.log(q[mask])
-    return out
+    r /= radius
+    positive = r > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log(r)
+        r *= r
+        r *= log
+    del log
+    np.copyto(r, 0.0, where=~positive)  # q^2 log q -> 0 as q -> 0
+    return r
 
 
 def _phi_wendland_c2(r, radius):
-    q = np.clip(1.0 - r / radius, 0.0, None)
-    return q ** 4 * (4.0 * r / radius + 1.0)
+    q = np.divide(r, radius, out=np.empty_like(r))
+    np.subtract(1.0, q, out=q)
+    np.clip(q, 0.0, None, out=q)
+    np.power(q, 4, out=q)
+    r *= 4.0
+    r /= radius
+    r += 1.0
+    q *= r
+    return q
 
 
 def _phi_multiquadric(r, radius):
-    return np.sqrt(r ** 2 + radius ** 2)
+    np.square(r, out=r)
+    r += radius ** 2
+    return np.sqrt(r, out=r)
 
 
 def _phi_inverse_multiquadric(r, radius):
-    return 1.0 / np.sqrt(r ** 2 + radius ** 2)
+    r = _phi_multiquadric(r, radius)
+    return np.divide(1.0, r, out=r)
 
 
 RBF_KERNELS = {
@@ -161,8 +184,21 @@ class RbfMorph:
 
 
 def _pairwise_distances(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff ** 2, axis=2))
+    """Euclidean distances between the rows of a and b, shape (len(a), len(b)).
+
+    The squared differences are summed one coordinate at a time into one
+    array, the order numpy's sum takes over a last axis of fewer than eight
+    entries. So for 2-d and 3-d points the result equals
+    ``np.sqrt(np.sum((a[:, None] - b[None]) ** 2, axis=2))`` bit for bit,
+    without its two (len(a), len(b), d) temporaries.
+    """
+    dist = np.zeros((a.shape[0], b.shape[0]))
+    step = np.empty_like(dist)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=step)
+        np.square(step, out=step)
+        dist += step
+    return np.sqrt(dist, out=dist)
 
 
 def bounding_box_diagonal(points):
@@ -229,8 +265,9 @@ def rbf_build(control_points, deformed_points, kernel="gaussian", radius=None):
 def rbf_deform(morph, points):
     """Evaluate the RBF map on a point cloud."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = _pairwise_distances(points, morph.control_points)
-    phi = RBF_KERNELS[morph.kernel](dist, morph.radius)
+    phi = RBF_KERNELS[morph.kernel](
+        _pairwise_distances(points, morph.control_points), morph.radius
+    )
     return morph.poly_const + points @ morph.poly_matrix.T + phi @ morph.weights
 
 
@@ -264,24 +301,29 @@ class IdwMorph:
 def idw_weights(morph, points):
     """Normalized inverse-distance weights, one row per evaluation point.
 
-    Points that coincide with a control point (within a bounding-box-scaled
-    threshold) take weight one there and zero elsewhere.
+    Returns a C-ordered (n_points, n_controls) array: :func:`idw_deform`
+    applies it as one matrix product, and the row sums that normalize it run
+    along its contiguous rows, so both round exactly as they always have.
+    It is built in place in that one array; apart from the distance
+    computation's scratch array and a boolean mask, nothing else of that
+    size is held. Points that coincide with a control point (within a
+    bounding-box-scaled threshold) take weight one there and zero elsewhere.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = _pairwise_distances(points, morph.control_points)
+    weights = _pairwise_distances(points, morph.control_points)
     scale = max(bounding_box_diagonal(morph.control_points), 1.0)
-    exact = dist < 1e-14 * scale
-    with np.errstate(divide="ignore"):
-        raw = np.where(dist > 0.0, dist, 1.0) ** (-morph.exponent)
-        raw[dist == 0.0] = np.inf
-    weights = np.zeros_like(dist)
-    hit_rows = exact.any(axis=1)
-    if hit_rows.any():
-        first_hit = np.argmax(exact[hit_rows], axis=1)
-        weights[np.flatnonzero(hit_rows), first_hit] = 1.0
-    free = ~hit_rows
-    if free.any():
-        weights[free] = raw[free] / raw[free].sum(axis=1, keepdims=True)
+    exact = weights < 1e-14 * scale
+    hit_rows = np.flatnonzero(exact.any(axis=1))
+    first_hit = np.argmax(exact[hit_rows], axis=1)
+    del exact
+    # distances become raw weights d^-p: a zero distance gives inf (its row
+    # is a hit row), and an undefined one counts as distance 1
+    np.copyto(weights, 1.0, where=np.isnan(weights))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.power(weights, -morph.exponent, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+    weights[hit_rows] = 0.0
+    weights[hit_rows, first_hit] = 1.0
     return weights
 
 
@@ -309,10 +351,12 @@ def read_point_cloud(path):
 
 
 def write_point_cloud(path, points):
+    """One point per line, coordinates with 17 significant digits."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = points.shape
+    line = " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in points:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(line * n % tuple(points.ravel().tolist()))
 
 
 def morph_from_descriptor(descriptor):

@@ -34,6 +34,35 @@ class TestSampling:
             asub.sample_gradients(lambda m: float("nan"), domain, 5, 3,
                                   grad=lambda m: np.zeros(2))
 
+    def test_first_nonfinite_sample_named(self):
+        # samples 3 and 6 are bad; all are evaluated, sample 3 is reported
+        domain = _cube_domain(2)
+        calls = []
+
+        def f(mu):
+            calls.append(mu)
+            return float("inf") if len(calls) in (4, 7) else 0.0
+
+        with pytest.raises(asub.GradientSampleError, match="at sample 3, mu="):
+            asub.sample_gradients(f, domain, 8, 3, grad=lambda m: np.zeros(2))
+        with pytest.raises(asub.GradientSampleError, match="at sample 0, mu="):
+            asub.sample_gradients(lambda m: 0.0, domain, 4, 3,
+                                  grad=lambda m: np.array([0.0, np.nan]))
+
+    def test_matches_per_sample_loop(self):
+        # reference: check, then chain-rule each gradient inside the loop
+        domain = ParamDomain([2.0, -3.0, 0.5], [4.0, 1.0, 0.75])
+        mus = domain.sample(500, 9)
+        half_width = 0.5 * (domain.upper - domain.lower)
+        grads = np.array([np.asarray(asub.quadratic_form_grad(mu)) * half_width
+                          for mu in mus])
+        values = np.array([float(asub.quadratic_form(mu)) for mu in mus])
+        samples = asub.sample_gradients(asub.quadratic_form, domain, 500, 9,
+                                        grad=asub.quadratic_form_grad)
+        assert np.array_equal(samples.gradients, grads)
+        assert np.array_equal(samples.values, values)
+        assert np.array_equal(samples.parameters, mus)
+
     def test_normalization_round_trip(self):
         domain = ParamDomain([2.0, -3.0], [4.0, 1.0])
         mu = np.array([3.5, 0.0])
@@ -203,6 +232,18 @@ class TestSummary:
         gaps = np.abs(np.diff(sorted_rows[:, 1]))
         dx = np.abs(np.diff(sorted_rows[:, 0]))
         assert np.all(gaps <= 2.5 * dx + 1e-12)
+
+    @pytest.mark.parametrize("p,split", [(3, 1), (3, 2), (5, 5), (12, 4)])
+    def test_matches_per_row_projection(self, p, split):
+        rng = np.random.default_rng(24 + p)
+        domain = ParamDomain(-1.0 - rng.random(p), 1.0 + rng.random(p))
+        scales = 10.0 ** rng.uniform(-1.0, 1.0, p)
+        samples = asub.sample_gradients(lambda m: float(m @ (scales * m)), domain,
+                                        700, 25, grad=lambda m: 2.0 * scales * m)
+        s = asub.estimate_subspace(samples, split=split)
+        rows = np.array([np.concatenate([asub.project_active(s, mu)[0], [val]])
+                         for mu, val in zip(samples.parameters, samples.values)])
+        assert np.array_equal(asub.summary_data(s, samples), rows)
 
     def test_csv_exports(self, tmp_path):
         domain = _cube_domain(2)

@@ -193,6 +193,13 @@ class TestRomCommands:
         assert _run(["rom", "load", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_save_is_not_a_command(self, tmp_path):
+        # thermal-block saves the model; "rom save" once silently reran it
+        with pytest.raises(SystemExit) as exc:
+            _run(["rom", "save", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_solve_requires_mu(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             _run(["rom", "solve", str(tmp_path)])

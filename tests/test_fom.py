@@ -118,6 +118,27 @@ class TestThermalBlock:
             direct = fom.thermal_block_direct(6, mu).toarray()
             assert np.abs(affine - direct).max() < 1e-11
 
+    def test_kept_nodes_and_edge_load_match_loops(self, monkeypatch):
+        n = 10
+        h = 1.0 / n
+        nodes = fom._grid_nodes(n)
+        keep = np.array([k for k in range(len(nodes)) if nodes[k, 0] < 1.0 - 1e-12])
+        load = np.zeros(len(nodes))
+        for j in range(n):
+            load[j] += h / 2.0
+            load[j + 1] += h / 2.0
+        seen = []
+        restrict = fom._restrict
+        monkeypatch.setattr(fom, "_restrict",
+                            lambda a, k: seen.append(k) or restrict(a, k))
+        system = fom.assemble_thermal_block(n=n)
+        assert len(seen) == 5
+        for k in seen:
+            assert k.dtype == keep.dtype and np.array_equal(k, keep)
+        f = system.rhs_terms[0]
+        assert f.dtype == load.dtype and np.array_equal(f, load[keep])
+        assert np.array_equal(system.nodes, nodes[keep])
+
     def test_requires_even_resolution(self):
         with pytest.raises(ValueError):
             fom.assemble_thermal_block(n=7)
@@ -228,6 +249,31 @@ class TestCsvExport:
         assert lines[0] == "x,y,value"
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed[:, 2], values)
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        def per_value(header, rows):
+            lines = [header]
+            for row in rows:
+                lines.append(",".join(
+                    str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
+                    for v in row))
+            return "\n".join(lines) + "\n"
+
+        specials = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 3.0, -7.0, 0.1]
+        block = np.random.default_rng(74).standard_normal((300, 2))
+        block[:len(specials), 0] = specials
+        cases = [
+            block,  # the active-subspace summary shape
+            [(i + 1, lam) for i, lam in enumerate(np.array([33.3, 0.33, 3.3e-3]))],
+            [(np.int64(k + 1), v) for k, v in enumerate(specials)],  # rom solve --out
+            [(1, np.int32(2), 2.5, True), (np.float64(4.0), -0.0, 10 ** 20, np.uint8(7))],
+            np.arange(6).reshape(3, 2),
+            [],
+        ]
+        for rows in cases:
+            path = tmp_path / "rows.csv"
+            fom.write_csv(path, "a,b", rows)
+            assert path.read_bytes() == per_value("a,b", rows).encode("utf-8")
 
     def test_integers_written_as_integers(self, tmp_path):
         path = tmp_path / "rows.csv"

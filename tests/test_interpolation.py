@@ -338,48 +338,6 @@ class TestMdeimPattern:
         assert sizes and max(sizes) <= 4 * (ab.size + cb.size)
 
 
-class TestGappy:
-    def test_square_case_matches_interpolation(self):
-        rng = np.random.default_rng(53)
-        basis = interpolation.deim_build(rng.standard_normal((20, 5)), tol=1e-14)
-        v = basis.basis @ rng.standard_normal(basis.size)
-        interp = interpolation.deim_coefficients(basis, v[basis.magic_indices])
-        gappy = interpolation.gappy_fit(basis.basis, basis.magic_indices,
-                                        v[basis.magic_indices])
-        assert np.abs(interp - gappy).max() < 1e-11
-
-    def test_oversampled_exact_on_span(self):
-        rng = np.random.default_rng(54)
-        modes = np.linalg.qr(rng.standard_normal((30, 4)))[0]
-        c = rng.standard_normal(4)
-        v = modes @ c
-        idx = [0, 3, 7, 11, 15, 19, 23]
-        fit = interpolation.gappy_fit(modes, idx, v[idx])
-        assert np.abs(fit - c).max() < 1e-12
-
-    def test_local_optimality_probe(self):
-        rng = np.random.default_rng(55)
-        modes = np.linalg.qr(rng.standard_normal((40, 3)))[0]
-        idx = list(range(0, 40, 4))
-        noisy = modes[idx] @ np.array([1.0, -2.0, 0.5]) + 0.01 * rng.standard_normal(len(idx))
-        fit = interpolation.gappy_fit(modes, idx, noisy)
-        best = np.linalg.norm(modes[idx] @ fit - noisy)
-        for _ in range(100):
-            perturbed = fit + 0.01 * rng.standard_normal(3)
-            assert np.linalg.norm(modes[idx] @ perturbed - noisy) >= best - 1e-12
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            interpolation.gappy_fit(np.eye(5)[:, :3], [0, 1], np.zeros(2))
-
-    def test_rank_deficient_rows_rejected(self):
-        modes = np.zeros((6, 2))
-        modes[0, 0] = 1.0
-        modes[1, 1] = 1.0
-        with pytest.raises(ValueError):
-            interpolation.gappy_fit(modes, [2, 3, 4], np.zeros(3))
-
-
 class TestOperatorNewton:
     @pytest.fixture(scope="class")
     def operator_bases(self, nonlinear_problem):

@@ -1,9 +1,12 @@
 """Geometry morphs: Bernstein lattice, RBF system, Shepard weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import comb
 
 from morkit import morphing
 
@@ -239,6 +242,19 @@ class TestIo:
         loaded = morphing.read_point_cloud(path)
         assert np.array_equal(loaded, pts)
 
+    def test_point_cloud_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(73)
+        pts = rng.standard_normal((500, 3))
+        pts[0] = [-0.0, 5e-324, 1e300]
+        pts[1] = [np.nan, np.inf, -np.inf]
+        pts[2] = [3.0, -7.0, 2.0 ** 53]
+        for cloud in (pts, pts[:, :2], pts[:0]):
+            path = tmp_path / "cloud.txt"
+            morphing.write_point_cloud(path, cloud)
+            expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in np.atleast_2d(cloud))
+            assert path.read_bytes() == expected.encode("utf-8")
+
     def test_descriptor_dispatch(self):
         ctrl = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         morph = morphing.morph_from_descriptor(
@@ -259,3 +275,175 @@ class TestIo:
     def test_unknown_type_rejected(self):
         with pytest.raises(morphing.MorphBuildError):
             morphing.morph_from_descriptor({"type": "spline"})
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation, as first written: (n, m, d) difference arrays, out-of-
+# place kernels and dense weight rows. The library evaluates the same
+# arithmetic in place, so every result must agree with it bit for bit.
+
+
+def _ref_distances(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff ** 2, axis=2))
+
+
+def _ref_thin_plate(r, radius):
+    q = r / radius
+    out = np.zeros_like(q)
+    mask = q > 0.0
+    out[mask] = q[mask] ** 2 * np.log(q[mask])
+    return out
+
+
+def _ref_wendland_c2(r, radius):
+    q = np.clip(1.0 - r / radius, 0.0, None)
+    return q ** 4 * (4.0 * r / radius + 1.0)
+
+
+_REF_KERNELS = {
+    "gaussian": lambda r, radius: np.exp(-(r ** 2) / radius),
+    "thin-plate": _ref_thin_plate,
+    "wendland-c2": _ref_wendland_c2,
+    "multiquadric": lambda r, radius: np.sqrt(r ** 2 + radius ** 2),
+    "inverse-multiquadric": lambda r, radius: 1.0 / np.sqrt(r ** 2 + radius ** 2),
+}
+
+
+def _ref_rbf_deform(morph, points):
+    dist = _ref_distances(points, morph.control_points)
+    phi = _REF_KERNELS[morph.kernel](dist, morph.radius)
+    return morph.poly_const + points @ morph.poly_matrix.T + phi @ morph.weights
+
+
+def _ref_idw_weights(morph, points):
+    dist = _ref_distances(points, morph.control_points)
+    scale = max(morphing.bounding_box_diagonal(morph.control_points), 1.0)
+    exact = dist < 1e-14 * scale
+    with np.errstate(divide="ignore"):
+        raw = np.where(dist > 0.0, dist, 1.0) ** (-morph.exponent)
+        raw[dist == 0.0] = np.inf
+    weights = np.zeros_like(dist)
+    hit_rows = exact.any(axis=1)
+    if hit_rows.any():
+        first_hit = np.argmax(exact[hit_rows], axis=1)
+        weights[np.flatnonzero(hit_rows), first_hit] = 1.0
+    free = ~hit_rows
+    if free.any():
+        weights[free] = raw[free] / raw[free].sum(axis=1, keepdims=True)
+    return weights
+
+
+def _ref_ffd_deform(lattice, points):
+    local = (points - lattice.origin) @ np.linalg.inv(lattice.axes).T
+    inside = np.all((local >= -1e-12) & (local <= 1.0 + 1e-12), axis=1)
+    weights = np.zeros((points.shape[0], lattice.displacements[..., 0].size))
+    if inside.any():
+        w = np.ones((int(inside.sum()), 1))
+        for a, deg in enumerate(lattice.degrees):
+            t = np.clip(local[inside, a], 0.0, 1.0)[:, None]
+            k = np.arange(deg + 1)
+            b = comb(deg, k) * t ** k * (1.0 - t) ** (deg - k)
+            w = np.einsum("pi,pj->pij", w, b).reshape(w.shape[0], -1)
+        weights[inside] = w
+    local_disp = weights @ lattice.displacements.reshape(-1, lattice.dim)
+    deformed = points + local_disp @ lattice.axes.T
+    deformed[~inside] = points[~inside]
+    return deformed
+
+
+def _cloud_with_hits(rng, n, ctrl):
+    """Random points plus every control point, and near misses of two of them."""
+    near = ctrl[:2] + 2e-16  # within IDW's hit threshold, but not equal
+    return np.vstack([rng.random((n, ctrl.shape[1])), ctrl, near])
+
+
+@pytest.mark.parametrize("n", [40, 6000])
+@pytest.mark.parametrize("d", [2, 3])
+class TestBitwiseReference:
+    def test_idw(self, d, n):
+        rng = np.random.default_rng(100 + 10 * d + n)
+        ctrl = rng.random((30, d))
+        morph = morphing.IdwMorph(ctrl, ctrl + 0.05 * rng.standard_normal((30, d)))
+        points = _cloud_with_hits(rng, n, ctrl)
+        weights = morphing.idw_weights(morph, points)
+        expected = _ref_idw_weights(morph, points)
+        assert np.array_equal(weights, expected)
+        assert weights.flags.c_contiguous
+        assert (weights == 1.0).sum() >= len(ctrl) + 2  # the hit rows
+        reference = points + expected @ (morph.deformed_points - morph.control_points)
+        assert np.array_equal(morphing.idw_deform(morph, points), reference)
+        assert np.array_equal(morphing.idw_deform(morph, points, weights), reference)
+
+    def test_idw_undefined_distance(self, d, n):
+        # a nan coordinate counts as distance 1 to every control, as it always has
+        rng = np.random.default_rng(200 + 10 * d + n)
+        ctrl = rng.random((12, d))
+        morph = morphing.IdwMorph(ctrl, ctrl + 0.1)
+        points = rng.random((n, d))
+        points[n // 2, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            expected = _ref_idw_weights(morph, points)
+        assert np.array_equal(morphing.idw_weights(morph, points), expected,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("kernel", sorted(morphing.RBF_KERNELS))
+    def test_rbf(self, d, n, kernel):
+        rng = np.random.default_rng(300 + 10 * d + n)
+        ctrl = rng.random((30, d))
+        morph = morphing.rbf_build(ctrl, ctrl + 0.05 * rng.standard_normal((30, d)),
+                                   kernel=kernel)
+        points = _cloud_with_hits(rng, n, ctrl)
+        assert np.array_equal(morphing.rbf_deform(morph, points),
+                              _ref_rbf_deform(morph, points))
+
+    def test_ffd(self, d, n):
+        rng = np.random.default_rng(400 + 10 * d + n)
+        degrees = (3, 2, 4)[:d]
+        axes = 0.7 * np.eye(d) + 0.05 * rng.standard_normal((d, d))
+        lattice = morphing.FfdLattice(
+            origin=np.full(d, 0.1), axes=axes, degrees=degrees,
+            displacements=0.05 * rng.standard_normal(tuple(k + 1 for k in degrees) + (d,)),
+        )
+        points = rng.random((n, d)) * 1.5 - 0.25  # part of the cloud lies outside
+        points[0] = lattice.origin  # on the lattice boundary
+        expected = _ref_ffd_deform(lattice, points)
+        weights = morphing.ffd_weights(lattice, points)
+        assert 0 < weights[1].sum() < n
+        assert np.array_equal(morphing.ffd_deform(lattice, points), expected)
+        assert np.array_equal(morphing.ffd_deform(lattice, points, weights), expected)
+
+
+class TestEvaluationMemory:
+    """Evaluation holds at most three n x m float arrays at once.
+
+    Broadcasting the point-control differences takes two (n, m, d) arrays
+    and peaks near 7 n m doubles at d = 3.
+    """
+
+    n, m, d = 20_000, 100, 3
+
+    def _peak_per_nm(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (self.n * self.m * 8)
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        rng = np.random.default_rng(110)
+        return rng.random((self.m, self.d)), rng.random((self.n, self.d))
+
+    def test_idw_weights(self, cloud):
+        ctrl, points = cloud
+        morph = morphing.IdwMorph(ctrl, ctrl)
+        assert self._peak_per_nm(morphing.idw_weights, morph, points) <= 3.0
+
+    @pytest.mark.parametrize("kernel", sorted(morphing.RBF_KERNELS))
+    def test_rbf_deform(self, cloud, kernel):
+        ctrl, points = cloud
+        morph = morphing.rbf_build(ctrl, ctrl, kernel=kernel)
+        assert self._peak_per_nm(morphing.rbf_deform, morph, points) <= 3.0
