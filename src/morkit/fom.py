@@ -325,15 +325,12 @@ def thermal_block_direct(n, mu, sigma1=1.0, sigma2=1.0):
     hy = 1.0 / n
     n_nodes = (n + 1) * (n + 1)
 
-    local = np.zeros((len(conn), 4, 4))
-    for k, elem in enumerate(conn):
-        hx = nodes[elem[1], 0] - nodes[elem[0], 0]
-        cx = 0.5 * (nodes[elem[1], 0] + nodes[elem[0], 0])
-        sigma = sigma1 if cx < mu else sigma2
-        local[k] = sigma * ((hy / hx) * _KX_REF + (hx / hy) * _KY_REF)
+    x0, x1 = nodes[conn[:, 0], 0], nodes[conn[:, 1], 0]
+    hx = (x1 - x0)[:, None, None]
+    sigma = np.where(0.5 * (x1 + x0) < mu, sigma1, sigma2)[:, None, None]
+    local = sigma * ((hy / hx) * _KX_REF + (hx / hy) * _KY_REF)
     a = _assemble(conn, n_nodes, local)
-    keep = np.array([k for k in range(n_nodes) if xbar[k] < 1.0 - 1e-12])
-    return _restrict(a, keep)
+    return _restrict(a, np.flatnonzero(xbar < 1.0 - 1e-12))
 
 
 def gaussian_forcing(x, mu):
@@ -377,13 +374,7 @@ def assemble_gaussian_poisson(n=24, alpha_t=1.0):
     )
     mass = _assemble(conn, n_nodes, np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4)))
 
-    interior = np.array(
-        [
-            k
-            for k in range(n_nodes)
-            if np.all(np.abs(nodes[k]) < 1.0 - 1e-12)
-        ]
-    )
+    interior = np.flatnonzero(np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1))
     a = _restrict(stiff, interior)
     mass_i = _restrict(mass, interior)
     gram = sp.csr_matrix(a + mass_i)

@@ -139,6 +139,23 @@ class TestThermalBlock:
         assert f.dtype == load.dtype and np.array_equal(f, load[keep])
         assert np.array_equal(system.nodes, nodes[keep])
 
+    def test_direct_assembly_matches_element_loop(self):
+        n, hy = 8, 1.0 / 8
+        conn = fom._element_connectivity(n)
+        xbar = fom._grid_nodes(n)[:, 0]
+        keep = np.array([k for k in range(len(xbar)) if xbar[k] < 1.0 - 1e-12])
+        for mu in (0.3, 0.5, 0.71):
+            x = np.where(xbar <= 0.5, 2.0 * mu * xbar,
+                         (2.0 - 2.0 * mu) * xbar + 2.0 * mu - 1.0)
+            local = np.zeros((len(conn), 4, 4))
+            for k, elem in enumerate(conn):
+                hx = x[elem[1]] - x[elem[0]]
+                sigma = 1.0 if 0.5 * (x[elem[1]] + x[elem[0]]) < mu else 0.3
+                local[k] = sigma * ((hy / hx) * fom._KX_REF + (hx / hy) * fom._KY_REF)
+            expected = fom._restrict(fom._assemble(conn, len(xbar), local), keep)
+            direct = fom.thermal_block_direct(n, mu, sigma1=1.0, sigma2=0.3)
+            assert np.array_equal(direct.toarray(), expected.toarray())
+
     def test_requires_even_resolution(self):
         with pytest.raises(ValueError):
             fom.assemble_thermal_block(n=7)
@@ -182,6 +199,15 @@ class TestThermalBlock:
 
 
 class TestGaussianPoisson:
+    def test_interior_nodes_match_loop(self):
+        n = 9
+        system, _ = fom.assemble_gaussian_poisson(n=n)
+        nodes = system.meta["all_nodes"]
+        expected = np.array([k for k in range(len(nodes))
+                             if np.all(np.abs(nodes[k]) < 1.0 - 1e-12)])
+        interior = system.meta["interior"]
+        assert interior.dtype == expected.dtype and np.array_equal(interior, expected)
+
     def test_forcing_peak_and_decay(self):
         x = np.array([[0.2, -0.1], [1.0, 1.0]])
         g = fom.gaussian_forcing(x, [0.2, -0.1])
