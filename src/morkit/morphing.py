@@ -73,8 +73,8 @@ def ffd_weights(lattice, points):
     (n_points, n_controls) array, one row per point, zero for points outside
     the unit lattice image (those stay fixed); ``inside`` is the boolean row
     mask. :func:`ffd_deform` applies the weights as one matrix product over
-    all rows, because a product over the inside rows alone may round
-    differently (the BLAS picks its kernel by the row count).
+    all rows: a product over the inside rows alone is cheaper, but the BLAS
+    may round it differently in the last bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     local = (points - lattice.origin) @ lattice._axes_inv.T
@@ -112,8 +112,8 @@ def ffd_deform(lattice, points, weights=None):
 # radial basis function interpolation
 #
 # Each kernel maps an array of distances to kernel values and may overwrite
-# the array it is given, so that evaluating n x m distances needs no second
-# n x m array (thin-plate needs one for its logarithm).
+# the array it is given, so that evaluating n x m distances needs at most
+# one more n x m array (thin-plate and wendland-c2 need one, the others none).
 
 def _phi_gaussian(r, radius):
     np.square(r, out=r)
@@ -129,7 +129,6 @@ def _phi_thin_plate(r, radius):
         log = np.log(r)
         r *= r
         r *= log
-    del log
     np.copyto(r, 0.0, where=~positive)  # q^2 log q -> 0 as q -> 0
     return r
 
@@ -301,13 +300,12 @@ class IdwMorph:
 def idw_weights(morph, points):
     """Normalized inverse-distance weights, one row per evaluation point.
 
-    Returns a C-ordered (n_points, n_controls) array: :func:`idw_deform`
-    applies it as one matrix product, and the row sums that normalize it run
-    along its contiguous rows, so both round exactly as they always have.
-    It is built in place in that one array; apart from the distance
-    computation's scratch array and a boolean mask, nothing else of that
-    size is held. Points that coincide with a control point (within a
-    bounding-box-scaled threshold) take weight one there and zero elsewhere.
+    Returns a C-ordered (n_points, n_controls) array, built in place from
+    the distances; the row sums run along its contiguous rows, and
+    :func:`idw_deform` applies it as one matrix product, so both round as
+    the broadcast formulas do. Points that coincide with a control point
+    (within a bounding-box-scaled threshold) take weight one there and zero
+    elsewhere.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = _pairwise_distances(points, morph.control_points)
