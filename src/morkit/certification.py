@@ -202,7 +202,13 @@ def coercivity_lb(model, system, mu):
 
 
 def error_bounds(offline, model, system, rom, mu):
-    """Energy and compliant-output error bounds (Delta_en, Delta_s)."""
+    """Energy and output error bounds (Delta_en, Delta_s).
+
+    Delta_en = ||r||_X' / sqrt(alpha_LB) bounds the energy-norm error and
+    Delta_s = ||r||_X'^2 / alpha_LB the output error s - s_N. The output
+    bound holds because every output is compliant (s = f . u): then
+    s - s_N = |e|_mu^2 >= 0, and no dual problem is needed.
+    """
     u_n, _ = rb.rom_solve(rom, mu)
     dual = residual_dual_norm(offline, system, mu, u_n)
     alpha = coercivity_lb(model, system, mu)
@@ -218,10 +224,14 @@ class CertifiedErrorEstimator:
     Keeps the raw residual terms, their Riesz representers and its own gram
     factorization between calls, so a basis grown by one column costs Q_a
     gram solves. Another system, or a basis that does not extend the last
-    one, starts afresh.
+    one, starts afresh. ``offline`` is the :class:`ResidualOffline` of the
+    last call: after :func:`rb.greedy` it belongs to the final basis and
+    equals ``riesz_offline(system, basis)`` bit for bit, so the caller can
+    keep it and drop the estimator with its full-order data.
     """
 
     model: CoercivityModel
+    offline: ResidualOffline = field(default=None, init=False, repr=False)
     _riesz: _RieszTerms = field(default=None, init=False, repr=False)
 
     def delta_function(self, system, basis):
@@ -230,7 +240,7 @@ class CertifiedErrorEstimator:
         if self._riesz is None or not self._riesz.extends(system, v):
             self._riesz = _RieszTerms(system)
         self._riesz.extend(v)
-        offline = self._riesz.offline()
+        self.offline = offline = self._riesz.offline()
         romsys = rb.project(system, basis)
 
         def delta(mus):

@@ -75,12 +75,14 @@ def _run_thermal_block(args, cfg):
     model = certification.build_coercivity_model(
         system, np.array([0.5]), check_terms=False
     )
-    # the estimator's Riesz data is full-order sized: let it go with the greedy
+    estimator = certification.CertifiedErrorEstimator(model=model)
     basis = rb.greedy(system, training, tol=tol, mu1=np.array([0.5]), n_max=n_max,
-                      estimator=certification.CertifiedErrorEstimator(model=model))
-
+                      estimator=estimator)
     romsys = rb.project(system, basis)
-    offline = certification.riesz_offline(system, basis)
+    # keep the final basis's residual data; the estimator's Riesz data is
+    # full-order sized, so it goes before the truth sweep
+    offline = estimator.offline
+    del estimator
 
     # per-iteration history with the true worst-case error for reference
     history_rows = []

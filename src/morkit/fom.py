@@ -83,7 +83,7 @@ def affine_sum(theta_map, terms, mu):
     """The affine combination sum_q theta_q(mu) * terms[q] (0 for no terms).
 
     Works for sparse and dense terms alike; every assembly of a
-    parameter-dependent operator, load or output goes through here.
+    parameter-dependent operator or load goes through here.
     """
     return weighted_sum(affine_weights(theta_map, mu, len(terms)), terms)
 
@@ -108,7 +108,8 @@ class AffineSystem:
     ``rhs_terms`` the Q_f load contributions; ``theta_a``/``theta_f`` map a
     parameter point to the corresponding weight vectors. ``gram`` is the SPD
     matrix defining the discrete inner product (H1-type, parameter
-    independent). The output functional defaults to the load (compliant).
+    independent). Outputs are compliant, s(mu) = f(mu) . u: the load is the
+    output functional, so a system given a new load has the matching output.
     """
 
     matrix_terms: list
@@ -117,8 +118,6 @@ class AffineSystem:
     theta_f: callable
     gram: sp.csr_matrix
     domain: ParamDomain
-    output_terms: list = None
-    theta_l: callable = None
     theta_name: str = None
     nodes: np.ndarray = None  # dof coordinates, for export / diagnostics
     meta: dict = field(default_factory=dict)
@@ -133,9 +132,6 @@ class AffineSystem:
                 raise ValueError("rhs terms must match the matrix dimension")
         if self.gram.shape != (n, n):
             raise ValueError("gram matrix dimension mismatch")
-        if self.output_terms is None:
-            self.output_terms = [f for f in self.rhs_terms]
-            self.theta_l = self.theta_f
 
     @property
     def dof_count(self):
@@ -154,9 +150,6 @@ class AffineSystem:
 
     def assemble_rhs(self, mu):
         return affine_sum(self.theta_f, self.rhs_terms, mu)
-
-    def assemble_output(self, mu):
-        return affine_sum(self.theta_l, self.output_terms, mu)
 
     def gram_factor(self):
         """Sparse LU solver of the gram matrix, owned by the caller.
@@ -239,8 +232,9 @@ def _theta_thermal_f(mu):
     return np.array([1.0])
 
 
+# (theta_a, theta_f) by name, so saved reduced models can be reloaded
 THETA_REGISTRY = {
-    "thermal-block": (theta_thermal, _theta_thermal_f, _theta_thermal_f),
+    "thermal-block": (theta_thermal, _theta_thermal_f),
 }
 
 
@@ -251,7 +245,7 @@ def assemble_thermal_block(n=32, sigma1=1.0, sigma2=1.0):
     x-/y-derivative split per subdomain, giving four affine stiffness terms.
     Unit inflow flux on the x=0 edge provides the single load term; the x=1
     edge carries homogeneous Dirichlet conditions, eliminated symmetrically.
-    The output functional is compliant (l = f). Requires even ``n`` so the
+    The output is compliant, s = f . u. Requires even ``n`` so the
     material interface falls on a grid line.
     """
     if n < 3:
@@ -347,11 +341,11 @@ def gaussian_forcing(x, mu):
     return np.exp(-2.0 * r2)
 
 
-def assemble_gaussian_poisson(n=24, alpha_t=1.0):
+def assemble_gaussian_poisson(n=24):
     """Poisson problem on [-1,1]^2 with a parameter-dependent Gaussian source.
 
     The stiffness part is parameter independent (one affine term, weight
-    alpha_t); the right-hand side is left symbolic as the forcing map so it
+    1); the right-hand side is left symbolic as the forcing map so it
     can be treated by empirical interpolation. Homogeneous Dirichlet
     conditions on the whole boundary.
 
@@ -362,8 +356,6 @@ def assemble_gaussian_poisson(n=24, alpha_t=1.0):
     """
     if n < 3:
         raise ValueError("grid resolution must be at least 3")
-    if alpha_t <= 0.0:
-        raise ValueError("conductivity must be positive")
     n_nodes = (n + 1) * (n + 1)
     nodes = _grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
     conn = _element_connectivity(n)
@@ -382,14 +374,13 @@ def assemble_gaussian_poisson(n=24, alpha_t=1.0):
     system = AffineSystem(
         matrix_terms=[a],
         rhs_terms=[],
-        theta_a=lambda mu: np.array([alpha_t]),
+        theta_a=lambda mu: np.array([1.0]),
         theta_f=lambda mu: np.array([]),
         gram=gram,
         domain=ParamDomain([-1.0, -1.0], [1.0, 1.0]),
         nodes=nodes[interior],
         meta={
             "n": n,
-            "alpha_t": alpha_t,
             "all_nodes": nodes,
             "interior": interior,
             "mass_full": mass,
@@ -429,8 +420,7 @@ def fom_solve(system, mu):
         raise np.linalg.LinAlgError(
             f"full-order solve residual too large: {resid:.3e}"
         )
-    s = float(system.assemble_output(mu) @ u)
-    return FomSolution(mu=mu, coefficients=u, output=s)
+    return FomSolution(mu=mu, coefficients=u, output=float(f @ u))
 
 
 def nu_gaussian(x, mu):
@@ -441,13 +431,16 @@ def nu_gaussian(x, mu):
     return np.exp(2.0 * expo) / 100.0 + 0.01
 
 
+_NONLIN_COEFF = 0.01  # scale of the solution-dependent coefficient of C(u)
+
+
 class NonlinearFom:
     """Nonlinear diffusion problem u + div-free operator terms on [0,1]^2.
 
     Discrete residual R(u; mu) = M u + A(mu) u + C(u) u - f, where A(mu) is a
     stiffness matrix with the non-affine coefficient ``nu_gaussian`` and C(u)
     a stiffness matrix whose per-element coefficient is
-    ``nonlin_coeff * mean(u)^2`` (solution dependent). Homogeneous Dirichlet
+    ``0.01 * mean(u)^2`` (solution dependent). Homogeneous Dirichlet
     on the whole boundary. Exposes the two operator snapshots for matrix
     hyper-reduction.
 
@@ -458,11 +451,10 @@ class NonlinearFom:
     at a few slots need the coefficients of the few elements that touch them.
     """
 
-    def __init__(self, n=12, nonlin_coeff=0.01):
+    def __init__(self, n=12):
         if n < 3:
             raise ValueError("grid resolution must be at least 3")
         self.n = n
-        self.nonlin_coeff = float(nonlin_coeff)
         n_nodes = (n + 1) * (n + 1)
         nodes = _grid_nodes(n)
         conn = _element_connectivity(n)
@@ -526,7 +518,7 @@ class NonlinearFom:
     def convection_coefficients(self, u, elements=slice(None)):
         """Coefficient of C(u) on the given elements (all by default)."""
         mean_u = self._full_u(u)[self.conn[elements]].mean(axis=1)
-        return self.nonlin_coeff * mean_u ** 2
+        return _NONLIN_COEFF * mean_u ** 2
 
     def diffusion_matrix(self, mu):
         """A(mu): stiffness with the non-affine coefficient at element centers."""
@@ -547,19 +539,19 @@ class NonlinearFom:
         """Sparse Jacobian M + A(mu) + C(u) + dC/du u, in one scatter."""
         u_e = self._full_u(u)[self.conn]
         mean_u = u_e.mean(axis=1)
-        coef = self.diffusion_coefficients(mu) + self.nonlin_coeff * mean_u ** 2
+        coef = self.diffusion_coefficients(mu) + _NONLIN_COEFF * mean_u ** 2
         # derivative of the C(u) coefficients: coef_e = k (mean u_e)^2, so
         # d coef_e / d u_node = k 2 mean_u / 4 for each of the element's nodes
-        dcoef = self.nonlin_coeff * 2.0 * mean_u / 4.0
+        dcoef = _NONLIN_COEFF * 2.0 * mean_u / 4.0
         ku = np.einsum("ij,ej->ei", self._k_unit_ref, u_e)
         local = coef[:, None, None] * self._k_unit_ref + (dcoef[:, None] * ku)[:, :, None]
         return self.on_pattern(self.mass.data + self._scatter @ local.ravel())
 
 
-def nonlinear_solve(fom, mu, guess=None, tol=1e-9, max_iter=50):
-    """Newton iteration for the nonlinear diffusion problem."""
+def nonlinear_solve(fom, mu, tol=1e-9, max_iter=50):
+    """Newton iteration for the nonlinear diffusion problem, started at zero."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = np.zeros(fom.dof_count) if guess is None else np.asarray(guess, dtype=float).copy()
+    u = np.zeros(fom.dof_count)
     resid_norm = np.inf
     for _ in range(max_iter):
         r = fom.residual(u, mu)

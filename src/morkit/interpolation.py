@@ -80,14 +80,6 @@ class DeimBasis:
         return [(int(f % n_rows), int(f // n_rows)) for f in self.pattern[self.magic_indices]]
 
 
-def _column_norms(r, p_norm):
-    if p_norm == np.inf or p_norm == "inf":
-        return np.abs(r).max(axis=0)
-    if p_norm == 2:
-        return np.linalg.norm(r, axis=0)
-    raise ValueError("p_norm must be 2 or inf")
-
-
 def _eim_residual(f, basis, indices):
     """Residual of interpolating every column of f at the magic indices."""
     if not indices:
@@ -98,10 +90,10 @@ def _eim_residual(f, basis, indices):
     return f - basis @ coeff
 
 
-def eim_build(samples, tol=1e-12, n_max=None, p_norm=np.inf):
+def eim_build(samples, tol=1e-12, n_max=None):
     """Greedy empirical-interpolation basis from a sample matrix.
 
-    Column selection maximizes the p-norm interpolation residual, the magic
+    Column selection maximizes the sup-norm interpolation residual, the magic
     index maximizes the pointwise residual of that column, and the normalized
     residual column is appended. The recorded error history uses the
     up-to-date interpolant after each append, so it is non-increasing and the
@@ -123,7 +115,7 @@ def eim_build(samples, tol=1e-12, n_max=None, p_norm=np.inf):
 
     residual = f.copy()
     while basis.shape[1] < n_max:
-        col_err = _column_norms(residual, p_norm)
+        col_err = np.abs(residual).max(axis=0)
         j_k = int(np.argmax(col_err))
         r_col = residual[:, j_k]
         i_k = int(np.argmax(np.abs(r_col)))
@@ -134,7 +126,7 @@ def eim_build(samples, tol=1e-12, n_max=None, p_norm=np.inf):
         indices.append(i_k)
         selected_cols.append(j_k)
         residual = _eim_residual(f, basis, indices)
-        eps = float(_column_norms(residual, p_norm).max())
+        eps = float(np.abs(residual).max())
         history.append(eps)
         if eps <= tol:
             break

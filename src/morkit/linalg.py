@@ -64,27 +64,27 @@ def svd(a):
     return SvdResult(left_vectors=u, singular_values=s, right_vectors=vt.T)
 
 
-def sym_eig(c, sym_tol=1e-12):
+def sym_eig(c):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Rejects asymmetric input (relative asymmetry above ``sym_tol``).
+    Rejects asymmetric input (relative asymmetry above 1e-12).
     """
     c = check_matrix(c, "sym_eig input")
     if c.shape[0] != c.shape[1]:
         raise ValueError("sym_eig requires a square matrix")
     scale = max(np.abs(c).max(), 1.0)
-    if np.abs(c - c.T).max() > sym_tol * scale:
+    if np.abs(c - c.T).max() > 1e-12 * scale:
         raise ValueError("sym_eig requires a symmetric matrix")
     w, v = np.linalg.eigh(c)
     # eigh returns ascending order; flip preserves input-order stability for ties
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def solve(a, b, pivot_rtol=1e-14):
+def solve(a, b):
     """Solve the dense linear system a x = b with explicit singularity check.
 
-    A pivot of the LU factorization below ``pivot_rtol`` times the largest
-    one raises :class:`SingularMatrixError`.
+    A pivot of the LU factorization below 1e-14 times the largest one raises
+    :class:`SingularMatrixError`.
     """
     a = check_matrix(a, "solve matrix")
     b = check_vector(b, "solve rhs")
@@ -96,17 +96,17 @@ def solve(a, b, pivot_rtol=1e-14):
     # input checks and warning machinery; info > 0 marks an exact zero pivot
     lu, piv, info = scipy.linalg.lapack.dgetrf(a)
     diag = np.abs(lu.diagonal()).tolist()  # Python min/max: cheaper at size N
-    if info or min(diag) <= pivot_rtol * max(max(diag), np.finfo(float).tiny):
+    if info or min(diag) <= 1e-14 * max(max(diag), np.finfo(float).tiny):
         raise SingularMatrixError("matrix is numerically singular")
     return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
 
 
-def orthonormalize(v, basis, gram=None, deflation_ratio=1e-10):
+def orthonormalize(v, basis, gram=None):
     """Orthonormalize ``v`` against the columns of ``basis`` in the gram product.
 
     Uses modified Gram-Schmidt with one re-orthogonalization pass. Returns the
     new unit-norm column, or ``None`` when the post-projection norm drops below
-    ``deflation_ratio`` times the pre-projection norm (v already in the span).
+    1e-10 times the pre-projection norm (v already in the span).
 
     ``gram`` may be None (Euclidean), a dense array or any object supporting
     the ``@`` product with a vector (e.g. a sparse matrix).
@@ -130,6 +130,6 @@ def orthonormalize(v, basis, gram=None, deflation_ratio=1e-10):
             col = basis[:, j]
             w = w - gdot(col, w) * col
     norm = np.sqrt(max(gdot(w, w), 0.0))
-    if norm < deflation_ratio * pre_norm:
+    if norm < 1e-10 * pre_norm:
         return None
     return w / norm

@@ -159,15 +159,14 @@ class RomSystem:
     """Galerkin-projected affine system: dense N x N terms, no full-order data.
 
     ``basis`` is kept only as a reference for lifting; the online solve must
-    not read it.
+    not read it. The output is compliant, s_N = f_N . u_N, as in the full
+    system.
     """
 
     reduced_matrix_terms: list
     reduced_rhs_terms: list
-    reduced_output_terms: list
     theta_a: callable
     theta_f: callable
-    theta_l: callable
     basis: ReducedBasis = None
     theta_name: str = None
 
@@ -177,20 +176,17 @@ class RomSystem:
 
 
 def project(system, basis):
-    """Precompute the reduced affine terms V^T A_i V, V^T f_i, V^T l_i."""
+    """Precompute the reduced affine terms V^T A_i V and V^T f_i (compliant output)."""
     v = basis.basis
     if v.shape[0] != system.dof_count:
         raise ValueError("basis dimension does not match the system")
     reduced_a = [np.asarray(v.T @ (a @ v)) for a in system.matrix_terms]
     reduced_f = [np.asarray(v.T @ f) for f in system.rhs_terms]
-    reduced_l = [np.asarray(v.T @ l) for l in system.output_terms]
     return RomSystem(
         reduced_matrix_terms=reduced_a,
         reduced_rhs_terms=reduced_f,
-        reduced_output_terms=reduced_l,
         theta_a=system.theta_a,
         theta_f=system.theta_f,
-        theta_l=system.theta_l,
         basis=basis,
         theta_name=system.theta_name,
     )
@@ -201,8 +197,7 @@ def rom_solve(rom, mu):
     a = affine_sum(rom.theta_a, rom.reduced_matrix_terms, mu)
     f = affine_sum(rom.theta_f, rom.reduced_rhs_terms, mu)
     u_n = linalg.solve(a, f)
-    s_n = float(affine_sum(rom.theta_l, rom.reduced_output_terms, mu) @ u_n)
-    return u_n, s_n
+    return u_n, float(f @ u_n)
 
 
 def lift(basis, u_n):
@@ -213,13 +208,13 @@ def lift(basis, u_n):
     return basis.basis @ u_n
 
 
-ROM_FORMAT_VERSION = 1
+# version 1 payloads also held output terms ("l"), which need not be compliant
+ROM_FORMAT_VERSION = 2
 
 # payload key prefix of each group of reduced affine terms
 _TERM_GROUPS = (
     ("a", "reduced_matrix_terms"),
     ("f", "reduced_rhs_terms"),
-    ("l", "reduced_output_terms"),
 )
 
 
@@ -267,7 +262,7 @@ def load_rom(directory):
     name = manifest["theta_name"]
     if name not in THETA_REGISTRY:
         raise ValueError(f"unknown theta registry entry {name!r}")
-    theta_a, theta_f, theta_l = THETA_REGISTRY[name]
+    theta_a, theta_f = THETA_REGISTRY[name]
     with np.load(os.path.join(directory, "payload.npz")) as payload:
         terms = {
             attr: [payload[f"{key}_{q}"] for q in range(manifest[f"q_{key}"])]
@@ -277,7 +272,6 @@ def load_rom(directory):
         **terms,
         theta_a=theta_a,
         theta_f=theta_f,
-        theta_l=theta_l,
         basis=None,
         theta_name=name,
     )

@@ -156,8 +156,8 @@ def _one_weight_too_many(theta_map):
     return lambda mu: np.append(theta_map(mu), 1.0)
 
 
-@pytest.mark.parametrize("site", ["assemble_rhs", "assemble_output", "rom_solve",
-                                  "residual_dual_norm", "coercivity_lb"])
+@pytest.mark.parametrize("site", ["assemble_rhs", "rom_solve", "residual_dual_norm",
+                                  "coercivity_lb"])
 def test_wrong_theta_weight_count_rejected(thermal_greedy, site):
     system, model, basis = thermal_greedy
     mu = np.array([0.4])
@@ -165,11 +165,9 @@ def test_wrong_theta_weight_count_rejected(thermal_greedy, site):
         system,
         theta_a=_one_weight_too_many(system.theta_a),
         theta_f=_one_weight_too_many(system.theta_f),
-        theta_l=_one_weight_too_many(system.theta_l),
     )
     calls = {
         "assemble_rhs": lambda: bad.assemble_rhs(mu),
-        "assemble_output": lambda: bad.assemble_output(mu),
         "rom_solve": lambda: rb.rom_solve(rb.project(bad, basis), mu),
         "residual_dual_norm": lambda: certification.residual_dual_norm(
             certification.riesz_offline(system, basis), bad, mu, np.ones(basis.size)
@@ -213,6 +211,26 @@ class TestBoundRigor:
             energy_sq = float(e @ (system.assemble_matrix([mu]) @ e))
             assert abs((truth.output - s_n) - energy_sq) < 1e-10 * max(energy_sq, 1.0)
 
+    def test_output_bound_holds_after_load_replaced(self, thermal_system):
+        # a system derived with a new load takes it as its output too; the
+        # output bound Delta_s is rigorous only for compliant outputs
+        system = _flux_variant(thermal_system)
+        model = certification.build_coercivity_model(system, np.array([0.5]),
+                                                      check_terms=False)
+        basis = _greedy(system, certification.CertifiedErrorEstimator(model=model),
+                        tol=0.0, n_max=3)
+        assert basis.size == 3
+        offline = certification.riesz_offline(system, basis)
+        romsys = rb.project(system, basis)
+        for mu in system.domain.uniform_grid(20):
+            truth = fom.fom_solve(system, mu)
+            assert truth.output == float(system.assemble_rhs(mu) @ truth.coefficients)
+            u_n, s_n = rb.rom_solve(romsys, mu)
+            f_n = fom.affine_sum(system.theta_f, romsys.reduced_rhs_terms, mu)
+            assert s_n == float(f_n @ u_n)
+            _, d_s = certification.error_bounds(offline, model, system, romsys, mu)
+            assert d_s >= abs(truth.output - s_n)
+
     def test_lb_bound_weaker_than_truth_bound(self, thermal_greedy):
         # replacing alpha_LB by the true coercivity only shrinks the bound
         system, model, full_basis = thermal_greedy
@@ -236,7 +254,7 @@ def _flux_variant(system):
     """The same operator with a y-varying edge load: a distinct system object."""
     y = system.nodes[:, 1]
     load = system.rhs_terms[0] * (1.0 + 0.3 * np.cos(np.pi * y))
-    return dataclasses.replace(system, rhs_terms=[load], output_terms=None)
+    return dataclasses.replace(system, rhs_terms=[load])
 
 
 class _ReferenceChecked:
@@ -290,7 +308,7 @@ class TestStackedSweep:
         # another system, or a basis that does not extend the last one, must
         # drop the cached Riesz data; the one-column runs leave a cache whose
         # length alone does not tell it apart from the next basis
-        doubled = dataclasses.replace(thermal_system, output_terms=None,
+        doubled = dataclasses.replace(thermal_system,
                                       rhs_terms=[2.0 * thermal_system.rhs_terms[0]])
         flux = _flux_variant(thermal_system)
         model = certification.build_coercivity_model(thermal_system, np.array([0.5]),
@@ -318,6 +336,20 @@ class TestStackedSweep:
         with pytest.raises(linalg.SingularMatrixError):
             rb.greedy(system, [np.array([0.3]), np.array([0.5])], tol=1e-12,
                       mu1=np.array([0.7]), n_max=5, estimator=estimator)
+
+    @pytest.mark.parametrize("tol", [1e-5, 0.0], ids=["converged", "saturated"])
+    def test_estimator_keeps_final_offline(self, thermal_system, tol):
+        # the greedy's last bound call is on its final basis, so the residual
+        # data the estimator keeps is the one riesz_offline would rebuild
+        model = certification.build_coercivity_model(thermal_system, np.array([0.5]),
+                                                      check_terms=False)
+        estimator = certification.CertifiedErrorEstimator(model=model)
+        basis = _greedy(thermal_system, estimator, tol=tol)
+        assert basis.saturated == (tol == 0.0)
+        assert estimator.offline.basis_size == basis.size
+        reference = certification.riesz_offline(thermal_system, basis)
+        for name, value in vars(reference).items():
+            assert np.array_equal(vars(estimator.offline)[name], value), name
 
     def test_offline_build_keeps_no_full_order_data(self, thermal_system):
         system = dataclasses.replace(thermal_system)

@@ -139,11 +139,6 @@ class TestEimBuild:
         with pytest.raises(ValueError):
             interpolation.eim_build(samples)
 
-    def test_p2_norm_selection_supported(self, gaussian_eim):
-        _, _, samples, _ = gaussian_eim
-        basis = interpolation.eim_build(samples, tol=1e-15, n_max=4, p_norm=2)
-        assert basis.size == 4
-
 
 class TestEimCoefficients:
     def test_round_trip_through_t(self, gaussian_eim):

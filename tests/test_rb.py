@@ -208,7 +208,10 @@ class TestSerialization:
         rb.save_rom(romsys, tmp_path / "rom")
         manifest_path = tmp_path / "rom" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 999
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
-            rb.load_rom(tmp_path / "rom")
+        assert manifest["format_version"] == 2
+        # version 1 carried separate output terms, which may not be compliant
+        for version in (999, 1):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match="format version"):
+                rb.load_rom(tmp_path / "rom")
