@@ -196,8 +196,12 @@ def _coercivity_lbs(model, theta_a):
 
 
 def coercivity_lb(model, system, mu):
-    """Minimum-theta coercivity lower bound at a parameter point."""
-    theta = affine_weights(system.theta_a, mu, system.q_a)
+    """Minimum-theta coercivity lower bound at a parameter point.
+
+    Reads only ``system.theta_a``: the term count comes from the model, so an
+    online query touches nothing of full-order size.
+    """
+    theta = affine_weights(system.theta_a, mu, len(model.theta_bar))
     return float(_coercivity_lbs(model, theta[None])[0])
 
 

@@ -82,8 +82,6 @@ class DeimBasis:
 
 def _eim_residual(f, basis, indices):
     """Residual of interpolating every column of f at the magic indices."""
-    if not indices:
-        return f.copy()
     t = basis[indices, :]
     coeff = scipy.linalg.solve_triangular(t, f[indices, :], lower=True,
                                           unit_diagonal=True)
@@ -97,13 +95,17 @@ def eim_build(samples, tol=1e-12, n_max=None):
     index maximizes the pointwise residual of that column, and the normalized
     residual column is appended. The recorded error history uses the
     up-to-date interpolant after each append, so it is non-increasing and the
-    stopping test reflects the current basis.
+    stopping test reflects the current basis. Each step makes one pass over
+    the new residual: its column sup norms give both the error and the next
+    column.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     f = samples.values
     m, n_cols = f.shape
-    if np.abs(f).max() == 0.0:
+    residual = f
+    col_err = np.abs(residual).max(axis=0)
+    if col_err.max() == 0.0:
         raise ValueError("sample matrix is identically zero")
     if n_max is None:
         n_max = min(m, n_cols)
@@ -113,9 +115,7 @@ def eim_build(samples, tol=1e-12, n_max=None):
     selected_cols = []
     history = []
 
-    residual = f.copy()
     while basis.shape[1] < n_max:
-        col_err = np.abs(residual).max(axis=0)
         j_k = int(np.argmax(col_err))
         r_col = residual[:, j_k]
         i_k = int(np.argmax(np.abs(r_col)))
@@ -126,7 +126,8 @@ def eim_build(samples, tol=1e-12, n_max=None):
         indices.append(i_k)
         selected_cols.append(j_k)
         residual = _eim_residual(f, basis, indices)
-        eps = float(np.abs(residual).max())
+        col_err = np.abs(residual).max(axis=0)
+        eps = float(col_err.max())
         history.append(eps)
         if eps <= tol:
             break

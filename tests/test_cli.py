@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
-from morkit import cli, fom, morphing
+from morkit import cli, fom, interpolation, morphing
 
 
 def _run(argv):
@@ -116,6 +118,50 @@ class TestDemoCommands:
                          "--n-max", "6", "--seed", "7", "--out", str(out)]) == 0
             blobs.append((out / "eim_history.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_eim_demo_factors_stiffness_once(self, tmp_path, monkeypatch):
+        # the 10 exact and 10 interpolated loads share one stiffness LU
+        factorizations = []
+
+        def counted(func):
+            def wrapper(*args, **kwargs):
+                factorizations.append(func.__name__)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("gssv", "gstrf"):  # spsolve's and splu's factorization
+            monkeypatch.setattr(_superlu, name, counted(getattr(_superlu, name)))
+        out = tmp_path / "eim"
+        assert _run(["eim-demo", "--grid", "8", "--out", str(out)]) == 0
+        assert len(factorizations) == 1
+        monkeypatch.undo()
+
+        # reference: one spsolve per solve, the exact one through the library
+        system, forcing = fom.assemble_gaussian_poisson(n=8)
+        points = system.meta["all_nodes"]
+        params = system.domain.sample(100, 42)
+        samples = interpolation.FunctionSamples(
+            values=np.column_stack([forcing(points, mu) for mu in params]))
+        basis = interpolation.eim_build(samples, tol=1e-12, n_max=25)
+        q = min(11, basis.size)
+        sub = interpolation.EimBasis(
+            basis=basis.basis[:, :q], magic_indices=basis.magic_indices[:q],
+            interp_matrix=basis.interp_matrix[:q, :q],
+            error_history=basis.error_history[:q],
+            selected_parameter_indices=basis.selected_parameter_indices[:q],
+        )
+        rows = []
+        for mu in system.domain.sample(10, 43):
+            exact = fom.solve_gaussian_poisson(system, mu)
+            g = interpolation.eim_interpolate(sub, forcing(points[sub.magic_indices], mu))
+            u = spla.spsolve(system.assemble_matrix(mu).tocsc(),
+                             fom.gaussian_poisson_load(system, g))
+            rows.append((float(mu[0]), float(mu[1]),
+                         system.gram_norm(u - exact.coefficients)))
+        reference = tmp_path / "reference.csv"
+        fom.write_csv(reference, "mu_1,mu_2,error", rows)
+        assert ((out / "interp_solve_error.csv").read_bytes()
+                == reference.read_bytes())
 
     def test_asub_demo_outputs(self, tmp_path):
         out = tmp_path / "asub"

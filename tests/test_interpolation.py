@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from morkit import fom, interpolation
@@ -55,6 +56,33 @@ def _operator_bases(problem, q, mus):
         c_snaps.append(c)
     return (interpolation.mdeim_build(a_snaps, tol=0.0, n_max=q),
             interpolation.mdeim_build(c_snaps, tol=0.0, n_max=q))
+
+
+def _eim_two_pass_reference(f, tol, n_max):
+    """The EIM greedy on a copy of f, with a second abs pass for the error."""
+    m = f.shape[0]
+    basis = np.zeros((m, 0))
+    indices, cols, history = [], [], []
+    residual = f.copy()
+    while basis.shape[1] < n_max:
+        col_err = np.abs(residual).max(axis=0)
+        j_k = int(np.argmax(col_err))
+        r_col = residual[:, j_k]
+        i_k = int(np.argmax(np.abs(r_col)))
+        denom = r_col[i_k]
+        if abs(denom) < 1e-14:
+            break
+        basis = np.column_stack([basis, r_col / denom])
+        indices.append(i_k)
+        cols.append(j_k)
+        coeff = scipy.linalg.solve_triangular(basis[indices, :], f[indices, :],
+                                              lower=True, unit_diagonal=True)
+        residual = f - basis @ coeff
+        eps = float(np.abs(residual).max())
+        history.append(eps)
+        if eps <= tol:
+            break
+    return basis, indices, cols, history
 
 
 def _brute_force_lebesgue(basis):
@@ -133,6 +161,36 @@ class TestEimBuild:
             col = samples.values[:, j]
             rec = interpolation.eim_interpolate(sub, col[sub.magic_indices])
             assert np.abs(rec - col).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["n_max", "tol", "saturation", "gaussian"])
+    def test_matches_two_pass_reference(self, case, gaussian_eim):
+        rng = np.random.default_rng(43)
+        if case == "n_max":
+            f, tol, n_max = rng.standard_normal((50, 20)), 1e-12, 6
+        elif case == "tol":
+            x = np.linspace(0.0, 1.0, 60)[:, None]
+            f, tol, n_max = np.exp(-x * np.linspace(0.5, 3.0, 25)), 1e-6, 25
+        elif case == "saturation":
+            # rank 3: after three steps the residual is round-off, above tol
+            f = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12))
+            tol, n_max = 1e-300, 10
+        else:
+            f, tol, n_max = gaussian_eim[2].values, 1e-13, 20
+        basis = interpolation.eim_build(interpolation.FunctionSamples(values=f),
+                                        tol=tol, n_max=n_max)
+        ref_basis, ref_indices, ref_cols, ref_history = _eim_two_pass_reference(
+            f, tol, n_max)
+        assert np.array_equal(basis.basis, ref_basis)
+        assert basis.magic_indices == ref_indices
+        assert basis.selected_parameter_indices == ref_cols
+        assert basis.error_history == ref_history
+        assert np.array_equal(basis.interp_matrix, ref_basis[ref_indices, :])
+        # each case ends by the stop it is there for
+        if basis.error_history[-1] <= tol:
+            stop = "tol"
+        else:
+            stop = "n_max" if basis.size == n_max else "saturation"
+        assert stop == {"gaussian": "n_max"}.get(case, case)
 
     def test_zero_samples_rejected(self):
         samples = interpolation.FunctionSamples(values=np.zeros((4, 2)))
