@@ -32,10 +32,6 @@ def _load_json_descriptor(path):
     return data
 
 
-def _load_config(path):
-    return {} if path is None else _load_json_descriptor(path)
-
-
 class _DescriptorError(Exception):
     """Malformed JSON descriptor or config, with a line-numbered message."""
 
@@ -43,41 +39,64 @@ class _DescriptorError(Exception):
         super().__init__(f"{path}:{lineno}: {msg}")
 
 
-def _resolve(args, cfg, key, default):
-    """Flag > config file > built-in default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+# the options each subcommand reads, with their defaults; a flag beats the
+# same key in the --config file, which beats the default
+_OPTIONS = {
+    "thermal-block": {"grid": 32, "train-size": 50, "tol": 1e-6, "n-max": 15,
+                      "out": "thermal_block_out"},
+    "eim-demo": {"grid": 24, "train-size": 100, "tol": 1e-12, "n-max": 25,
+                 "seed": 42, "out": "eim_out"},
+    "deim-demo": {"grid": 12, "train-size": 30, "seed": 42, "out": "deim_out"},
+    "asub-demo": {"train-size": 2000, "seed": 42, "out": "asub_out"},
+    "morph": {"out": "deformed_points.txt"},
+    "rom": {"out": None},
+}
+
+_OPTION_TYPES = {
+    "grid": (int, "full-order grid resolution per direction"),
+    "train-size": (int, "training sample count"),
+    "tol": (float, "stopping tolerance"),
+    "n-max": (int, "maximum basis size"),
+    "seed": (int, "random seed"),
+    "out": (str, "output directory or file"),
+}
 
 
-def _out_dir(args, cfg, default):
-    out = _resolve(args, cfg, "out", default)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _resolve_options(args):
+    """Fill each option the command line left unset from the config, else its default."""
+    options = _OPTIONS[args.command]
+    cfg = {} if args.config is None else _load_json_descriptor(args.config)
+    for key in cfg:
+        if key not in options:
+            raise _DescriptorError(args.config, 1,
+                                   f"{args.command} takes no option {key!r}")
+    for key, default in options.items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr) is not None:
+            continue
+        value = default
+        if key in cfg:
+            try:
+                value = _OPTION_TYPES[key][0](cfg[key])
+            except (TypeError, ValueError) as exc:
+                raise _DescriptorError(args.config, 1, f"{key}: {exc}")
+        setattr(args, attr, value)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_thermal_block(args, cfg):
-    grid = int(_resolve(args, cfg, "grid", 32))
-    train_size = int(_resolve(args, cfg, "train-size", 50))
-    tol = float(_resolve(args, cfg, "tol", 1e-6))
-    n_max = int(_resolve(args, cfg, "n-max", 15))
-    out = _out_dir(args, cfg, "thermal_block_out")
-
-    system = fom.assemble_thermal_block(n=grid)
-    training = list(system.domain.uniform_grid(train_size))
+def _run_thermal_block(args):
+    os.makedirs(args.out, exist_ok=True)
+    system = fom.assemble_thermal_block(n=args.grid)
+    training = list(system.domain.uniform_grid(args.train_size))
     model = certification.build_coercivity_model(
         system, np.array([0.5]), check_terms=False
     )
     estimator = certification.CertifiedErrorEstimator(model=model)
-    basis = rb.greedy(system, training, tol=tol, mu1=np.array([0.5]), n_max=n_max,
-                      estimator=estimator)
+    basis = rb.greedy(system, training, tol=args.tol, mu1=np.array([0.5]),
+                      n_max=args.n_max, estimator=estimator)
     romsys = rb.project(system, basis)
     # keep the final basis's residual data; the estimator's Riesz data is
     # full-order sized, so it goes before the truth sweep
@@ -95,7 +114,7 @@ def _run_thermal_block(args, cfg):
         e = truth.coefficients - rb.lift(basis, u_n)
         errors.append(system.gram_norm(e))
     history_rows[-1] = (basis.size, basis.history[-1][1], max(errors))
-    fom.write_csv(os.path.join(out, "greedy_history.csv"),
+    fom.write_csv(os.path.join(args.out, "greedy_history.csv"),
                   "N,max_delta,max_true_error", history_rows)
 
     sweep = []
@@ -107,44 +126,37 @@ def _run_thermal_block(args, cfg):
         err = system.gram_norm(e)
         eff = d_en / err if err > 0 else np.inf
         sweep.append((float(mu[0]), d_en, err, eff, d_s))
-    fom.write_csv(os.path.join(out, "bound_sweep.csv"),
+    fom.write_csv(os.path.join(args.out, "bound_sweep.csv"),
                   "mu,delta_en,true_error,effectivity,delta_s", sweep)
 
-    rb.save_rom(romsys, os.path.join(out, "rom"))
+    rb.save_rom(romsys, os.path.join(args.out, "rom"))
     print(f"basis size {basis.size}, final max bound {basis.history[-1][1]:.3e}")
-    print(f"outputs written to {out}")
+    print(f"outputs written to {args.out}")
     return 0
 
 
-def _run_eim_demo(args, cfg):
-    grid = int(_resolve(args, cfg, "grid", 24))
-    train_size = int(_resolve(args, cfg, "train-size", 100))
-    tol = float(_resolve(args, cfg, "tol", 1e-12))
-    n_max = int(_resolve(args, cfg, "n-max", 25))
-    seed = int(_resolve(args, cfg, "seed", 42))
-    out = _out_dir(args, cfg, "eim_out")
-
-    system, forcing = fom.assemble_gaussian_poisson(n=grid)
+def _run_eim_demo(args):
+    os.makedirs(args.out, exist_ok=True)
+    system, forcing = fom.assemble_gaussian_poisson(n=args.grid)
     points = system.meta["all_nodes"]
-    params = system.domain.sample(train_size, seed)
+    params = system.domain.sample(args.train_size, args.seed)
     values = np.column_stack([forcing(points, mu) for mu in params])
     samples = interpolation.FunctionSamples(values=values, points=points,
                                             parameters=list(params))
-    basis = interpolation.eim_build(samples, tol=tol, n_max=n_max)
+    basis = interpolation.eim_build(samples, tol=args.tol, n_max=args.n_max)
 
-    fom.write_csv(os.path.join(out, "eim_history.csv"), "q,epsilon",
+    fom.write_csv(os.path.join(args.out, "eim_history.csv"), "q,epsilon",
                   [(q + 1, e) for q, e in enumerate(basis.error_history)])
-    interpolation.export_eim_basis(basis, out, points=points)
+    interpolation.export_eim_basis(basis, args.out, points=points)
 
     # full-size solves with the EIM-interpolated load against those with the
     # exact load; the stiffness is one term of weight 1, so one LU serves all
-    test_params = system.domain.sample(10, seed + 1)
+    test_params = system.domain.sample(10, args.seed + 1)
     solve = spla.factorized(system.assemble_matrix(test_params[0]).tocsc())
     q_use = min(11, basis.size)
     sub = interpolation.EimBasis(
         basis=basis.basis[:, :q_use],
         magic_indices=basis.magic_indices[:q_use],
-        interp_matrix=basis.interp_matrix[:q_use, :q_use],
         error_history=basis.error_history[:q_use],
         selected_parameter_indices=basis.selected_parameter_indices[:q_use],
     )
@@ -156,19 +168,16 @@ def _run_eim_demo(args, cfg):
         u = solve(fom.gaussian_poisson_load(system, g_interp))
         err = system.gram_norm(u - exact)
         rows.append((float(mu[0]), float(mu[1]), err))
-    fom.write_csv(os.path.join(out, "interp_solve_error.csv"), "mu_1,mu_2,error", rows)
-    print(f"interpolation basis size {basis.size}, outputs written to {out}")
+    fom.write_csv(os.path.join(args.out, "interp_solve_error.csv"), "mu_1,mu_2,error",
+                  rows)
+    print(f"interpolation basis size {basis.size}, outputs written to {args.out}")
     return 0
 
 
-def _run_deim_demo(args, cfg):
-    grid = int(_resolve(args, cfg, "grid", 12))
-    train_size = int(_resolve(args, cfg, "train-size", 30))
-    seed = int(_resolve(args, cfg, "seed", 42))
-    out = _out_dir(args, cfg, "deim_out")
-
-    problem = fom.NonlinearFom(n=grid)
-    params = problem.domain.sample(train_size, seed)
+def _run_deim_demo(args):
+    os.makedirs(args.out, exist_ok=True)
+    problem = fom.NonlinearFom(n=args.grid)
+    params = problem.domain.sample(args.train_size, args.seed)
     a_snaps = []
     c_snaps = []
     for mu in params:
@@ -177,7 +186,7 @@ def _run_deim_demo(args, cfg):
         c_snaps.append(c)
     # held-out operators, solved once for every term count
     test_ops = [problem.operator_snapshot(fom.nonlinear_solve(problem, mu), mu)
-                for mu in problem.domain.sample(5, seed + 1)]
+                for mu in problem.domain.sample(5, args.seed + 1)]
 
     rows = []
     for n_terms in (2, 4, 6, 8, 10):
@@ -191,33 +200,30 @@ def _run_deim_demo(args, cfg):
             den = spla.norm(a) + spla.norm(c)
             errs.append(num / den)
         rows.append((n_terms, max(errs)))
-    fom.write_csv(os.path.join(out, "mdeim_decay.csv"), "n_terms,max_error", rows)
-    print(f"operator interpolation decay written to {out}")
+    fom.write_csv(os.path.join(args.out, "mdeim_decay.csv"), "n_terms,max_error", rows)
+    print(f"operator interpolation decay written to {args.out}")
     return 0
 
 
-def _run_asub_demo(args, cfg):
-    train_size = int(_resolve(args, cfg, "train-size", 2000))
-    seed = int(_resolve(args, cfg, "seed", 42))
-    out = _out_dir(args, cfg, "asub_out")
-
+def _run_asub_demo(args):
+    os.makedirs(args.out, exist_ok=True)
     domain = fom.ParamDomain([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
     samples = asub.sample_gradients(
-        asub.quadratic_form, domain, train_size, seed, grad=asub.quadratic_form_grad
+        asub.quadratic_form, domain, args.train_size, args.seed,
+        grad=asub.quadratic_form_grad,
     )
     subspace = asub.estimate_subspace(samples)
-    fom.write_csv(os.path.join(out, "eigenvalues.csv"), "index,lambda",
+    fom.write_csv(os.path.join(args.out, "eigenvalues.csv"), "index,lambda",
                   [(i + 1, lam) for i, lam in enumerate(subspace.eigenvalues)])
-    asub.export_summary_csv(os.path.join(out, "summary.csv"), subspace, samples)
+    asub.export_summary_csv(os.path.join(args.out, "summary.csv"), subspace, samples)
     print(
         f"active dimension {subspace.active_dim}, "
-        f"gap ratio {subspace.gap_ratio:.3g}, outputs written to {out}"
+        f"gap ratio {subspace.gap_ratio:.3g}, outputs written to {args.out}"
     )
     return 0
 
 
-def _run_morph(args, cfg):
-    out = _resolve(args, cfg, "out", "deformed_points.txt")
+def _run_morph(args):
     descriptor_path = args.descriptor
     try:
         descriptor = _load_json_descriptor(descriptor_path)
@@ -236,18 +242,18 @@ def _run_morph(args, cfg):
     except ValueError as exc:
         raise _DescriptorError(args.points, 0, str(exc))
     deformed = morphing.deform(morph, points)
-    morphing.write_point_cloud(out, deformed)
+    morphing.write_point_cloud(args.out, deformed)
     disp = np.linalg.norm(deformed - points, axis=1)
     summary = {
         "points": int(points.shape[0]),
         "max_displacement": float(disp.max()) if disp.size else 0.0,
-        "output": out,
+        "output": args.out,
     }
     print(json.dumps(summary, indent=2))
     return 0
 
 
-def _run_rom(args, cfg):
+def _run_rom(args):
     directory = args.model_dir
     try:
         romsys = rb.load_rom(directory)
@@ -265,9 +271,8 @@ def _run_rom(args, cfg):
     mu = np.array([float(v) for v in args.mu])
     u_n, s_n = rb.rom_solve(romsys, mu)
     print(f"s_N({mu.tolist()}) = {s_n:.17g}")
-    out = _resolve(args, cfg, "out", None)
-    if out:
-        fom.write_csv(out, "index,coefficient",
+    if args.out:
+        fom.write_csv(args.out, "index,coefficient",
                       [(k + 1, v) for k, v in enumerate(u_n)])
     return 0
 
@@ -276,18 +281,16 @@ def _run_rom(args, cfg):
 # argument parsing
 
 
-def _add_common(p):
-    p.add_argument("--grid", type=int, default=None,
-                   help="full-order grid resolution per direction")
-    p.add_argument("--train-size", type=int, default=None,
-                   help="training sample count")
-    p.add_argument("--tol", type=float, default=None, help="stopping tolerance")
-    p.add_argument("--n-max", type=int, default=None, help="maximum basis size")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default 42)")
-    p.add_argument("--out", default=None, help="output directory or file")
+def _add_options(p, command):
+    """The subcommand's options from ``_OPTIONS``, plus ``--config``."""
+    for key, default in _OPTIONS[command].items():
+        kind, text = _OPTION_TYPES[key]
+        if default is not None:
+            text = f"{text} (default {default})"
+        p.add_argument(f"--{key}", type=kind, default=None, help=text)
     p.add_argument("--config", default=None,
-                   help="JSON config file; explicit flags take precedence")
+                   help="JSON config file of these options; explicit flags take "
+                        "precedence")
 
 
 def build_parser():
@@ -299,28 +302,31 @@ def build_parser():
 
     p = sub.add_parser("thermal-block",
                        help="certified greedy reduction of the two-material block")
-    _add_common(p)
+    _add_options(p, "thermal-block")
+    # nothing reads it: the build draws no random numbers
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored; accepted only because perfbench passes it")
     p.set_defaults(func=_run_thermal_block)
 
     p = sub.add_parser("eim-demo",
                        help="empirical interpolation of a parametrized source")
-    _add_common(p)
+    _add_options(p, "eim-demo")
     p.set_defaults(func=_run_eim_demo)
 
     p = sub.add_parser("deim-demo",
                        help="operator interpolation on the nonlinear problem")
-    _add_common(p)
+    _add_options(p, "deim-demo")
     p.set_defaults(func=_run_deim_demo)
 
     p = sub.add_parser("asub-demo", help="active subspace of a quadratic model")
-    _add_common(p)
+    _add_options(p, "asub-demo")
     p.set_defaults(func=_run_asub_demo)
 
     p = sub.add_parser("morph", help="deform a point cloud file")
     p.add_argument("kind", choices=("ffd", "rbf", "idw"))
     p.add_argument("points", help="whitespace-delimited point cloud file")
     p.add_argument("descriptor", help="JSON morph descriptor")
-    _add_common(p)
+    _add_options(p, "morph")
     p.set_defaults(func=_run_morph)
 
     p = sub.add_parser("rom", help="load or solve a reduced model that "
@@ -329,7 +335,7 @@ def build_parser():
     p.add_argument("model_dir", help="model directory")
     p.add_argument("--mu", nargs="+", default=None,
                    help="parameter point (solve)")
-    _add_common(p)
+    _add_options(p, "rom")
     p.set_defaults(func=_run_rom)
 
     return parser
@@ -341,10 +347,8 @@ def main(argv=None):
     if args.command == "rom" and args.action == "solve" and not args.mu:
         parser.error("rom solve requires --mu")
     try:
-        cfg = _load_config(args.config)
-        seed = _resolve(args, cfg, "seed", 42)
-        args.seed = int(seed)
-        return args.func(args, cfg)
+        _resolve_options(args)
+        return args.func(args)
     except _DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

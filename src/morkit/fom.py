@@ -207,17 +207,48 @@ def _element_connectivity(n):
     return np.stack([n00, n10, n10 + 1, n00 + 1], axis=1)
 
 
-def _assemble(conn, n_nodes, local_matrices):
-    """Scatter per-element 4x4 matrices into a CSR global matrix."""
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    data = np.asarray(local_matrices).reshape(len(conn), 16).ravel()
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-    return a.tocsr()
+class _Q1Pattern:
+    """CSR pattern of the Q1 operators between the kept nodes of a grid.
 
+    Element-local entry (e, 4a + b) couples nodes conn[e, a] and conn[e, b].
+    Entries with a node outside ``keep`` (a boolean node mask) are dropped;
+    the rest land on the sorted CSR slots of the kept nodes, numbered in
+    node order. ``scatter`` is the 0/1 (slots x 16*elements) map from local
+    entries to slots: applied to the raveled element matrices, it sums each
+    slot's contributions in element order, as a COO sum of duplicates does.
+    """
 
-def _restrict(matrix, keep):
-    return sp.csr_matrix(matrix[np.ix_(keep, keep)])
+    def __init__(self, conn, keep):
+        self.size = m = int(np.count_nonzero(keep))
+        dof_of_node = np.full(len(keep), -1)
+        dof_of_node[keep] = np.arange(m)
+        dofs = dof_of_node[conn]
+        rows = np.repeat(dofs, 4, axis=1).ravel()
+        cols = np.tile(dofs, (1, 4)).ravel()
+        inside = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self._keys, slot = np.unique(rows[inside] * m + cols[inside], return_inverse=True)
+        self._indptr = np.searchsorted(self._keys, np.arange(m + 1) * m)
+        self._indices = self._keys % m
+        self.scatter = sp.csr_matrix(
+            (np.ones(len(inside)), (slot, inside)), shape=(len(self._keys), 16 * len(conn))
+        )
+
+    def assemble(self, local_matrices):
+        """The operator of the per-element 4x4 matrices."""
+        return self.on_pattern(self.scatter @ np.ravel(local_matrices))
+
+    def on_pattern(self, data):
+        """The CSR matrix with ``data`` on the pattern slots."""
+        shape = (self.size, self.size)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=shape)
+
+    def entry_slots(self, rows, cols):
+        """Pattern slots of the kept-node entries (rows[k], cols[k])."""
+        keys = np.asarray(rows) * self.size + np.asarray(cols)
+        slots = np.searchsorted(self._keys, keys)
+        if np.any(slots >= len(self._keys)) or np.any(self._keys[slots] != keys):
+            raise ValueError("entry outside the operator pattern")
+        return slots
 
 
 def theta_thermal(mu):
@@ -255,36 +286,29 @@ def assemble_thermal_block(n=32, sigma1=1.0, sigma2=1.0):
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ValueError("conductivities must be positive")
 
-    n_nodes = (n + 1) * (n + 1)
     nodes = _grid_nodes(n)
     conn = _element_connectivity(n)
     h = 1.0 / n
     centers_x = nodes[conn].mean(axis=1)[:, 0]
     left = centers_x < 0.5
+    keep = nodes[:, 0] < 1.0 - 1e-12
+    pattern = _Q1Pattern(conn, keep)
 
     def stiff(mask, sigma, ref):
         local = np.zeros((len(conn), 4, 4))
         local[mask] = sigma * ref  # hx = hy so the aspect factor is 1
-        return _assemble(conn, n_nodes, local)
+        return pattern.assemble(local)
 
-    a1 = stiff(left, sigma1, _KX_REF)
-    a2 = stiff(left, sigma1, _KY_REF)
-    a3 = stiff(~left, sigma2, _KX_REF)
-    a4 = stiff(~left, sigma2, _KY_REF)
-
-    mass = _assemble(conn, n_nodes, np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4)))
+    terms = [stiff(left, sigma1, _KX_REF), stiff(left, sigma1, _KY_REF),
+             stiff(~left, sigma2, _KX_REF), stiff(~left, sigma2, _KY_REF)]
+    mass = pattern.assemble(np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4)))
+    # H1 inner product at the reference parameter (all theta weights equal 1)
+    gram = sp.csr_matrix(sum(terms) + mass)
 
     # unit Neumann flux on the x=0 edge: trapezoidal edge load
-    load = np.zeros(n_nodes)
+    load = np.zeros(len(nodes))
     load[:n] += h / 2.0
     load[1:n + 1] += h / 2.0
-
-    keep = np.flatnonzero(nodes[:, 0] < 1.0 - 1e-12)
-
-    terms = [_restrict(a, keep) for a in (a1, a2, a3, a4)]
-    mass_r = _restrict(mass, keep)
-    # H1 inner product at the reference parameter (all theta weights equal 1)
-    gram = sp.csr_matrix(sum(terms) + mass_r)
     f = load[keep]
 
     return AffineSystem(
@@ -317,14 +341,12 @@ def thermal_block_direct(n, mu, sigma1=1.0, sigma2=1.0):
     nodes = np.stack([x, nodes[:, 1]], axis=1)
     conn = _element_connectivity(n)
     hy = 1.0 / n
-    n_nodes = (n + 1) * (n + 1)
 
     x0, x1 = nodes[conn[:, 0], 0], nodes[conn[:, 1], 0]
     hx = (x1 - x0)[:, None, None]
     sigma = np.where(0.5 * (x1 + x0) < mu, sigma1, sigma2)[:, None, None]
     local = sigma * ((hy / hx) * _KX_REF + (hx / hy) * _KY_REF)
-    a = _assemble(conn, n_nodes, local)
-    return _restrict(a, np.flatnonzero(xbar < 1.0 - 1e-12))
+    return _Q1Pattern(conn, xbar < 1.0 - 1e-12).assemble(local)
 
 
 def gaussian_forcing(x, mu):
@@ -356,20 +378,17 @@ def assemble_gaussian_poisson(n=24):
     """
     if n < 3:
         raise ValueError("grid resolution must be at least 3")
-    n_nodes = (n + 1) * (n + 1)
     nodes = _grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
     conn = _element_connectivity(n)
     h = 2.0 / n
+    interior_mask = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
+    interior = np.flatnonzero(interior_mask)
+    pattern = _Q1Pattern(conn, interior_mask)
+    local_mass = np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4))
 
-    stiff = _assemble(
-        conn, n_nodes, np.broadcast_to(_KX_REF + _KY_REF, (len(conn), 4, 4))
-    )
-    mass = _assemble(conn, n_nodes, np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4)))
-
-    interior = np.flatnonzero(np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1))
-    a = _restrict(stiff, interior)
-    mass_i = _restrict(mass, interior)
-    gram = sp.csr_matrix(a + mass_i)
+    a = pattern.assemble(np.broadcast_to(_KX_REF + _KY_REF, (len(conn), 4, 4)))
+    gram = sp.csr_matrix(a + pattern.assemble(local_mass))
+    mass_full = _Q1Pattern(conn, np.ones(len(nodes), dtype=bool)).assemble(local_mass)
 
     system = AffineSystem(
         matrix_terms=[a],
@@ -383,7 +402,7 @@ def assemble_gaussian_poisson(n=24):
             "n": n,
             "all_nodes": nodes,
             "interior": interior,
-            "mass_full": mass,
+            "mass_full": mass_full,
         },
     )
     return system, gaussian_forcing
@@ -445,7 +464,7 @@ class NonlinearFom:
     hyper-reduction.
 
     ``mass``, ``diffusion_matrix`` and ``convection_matrix`` are CSR matrices
-    on one restricted Q1 pattern, and their ``data`` arrays follow its slot
+    on the interior Q1 ``pattern``, and their ``data`` arrays follow its slot
     order. The stiffness data is ``stiffness_scatter @ coef``, a sparse
     nnz x elements map applied to per-element coefficients, so the entries
     at a few slots need the coefficients of the few elements that touch them.
@@ -455,7 +474,6 @@ class NonlinearFom:
         if n < 3:
             raise ValueError("grid resolution must be at least 3")
         self.n = n
-        n_nodes = (n + 1) * (n + 1)
         nodes = _grid_nodes(n)
         conn = _element_connectivity(n)
         h = 1.0 / n
@@ -466,45 +484,18 @@ class NonlinearFom:
         self.conn = conn
         self.centers = nodes[conn].mean(axis=1)
         self.domain = ParamDomain([-0.5, -0.5], [0.5, 0.5])
+        self.pattern = _Q1Pattern(conn, interior_mask)
+        self.dof_count = self.pattern.size
 
-        # map global node indices to interior dof indices (-1 for boundary)
-        self._dof_of_node = -np.ones(n_nodes, dtype=int)
-        self._dof_of_node[self.interior] = np.arange(len(self.interior))
-        self.dof_count = m = len(self.interior)
-
-        # element-local entry (e, 4a + b) couples dofs[e, a] and dofs[e, b];
-        # entries with a boundary node are dropped, the rest land on slots
-        dofs = self._dof_of_node[conn]
-        rows = np.repeat(dofs, 4, axis=1).ravel()
-        cols = np.tile(dofs, (1, 4)).ravel()
-        inside = np.flatnonzero((rows >= 0) & (cols >= 0))
-        self._keys, slot = np.unique(rows[inside] * m + cols[inside], return_inverse=True)
-        self._indptr = np.searchsorted(self._keys, np.arange(m + 1) * m)
-        self._indices = self._keys % m
-        self._scatter = sp.csr_matrix(
-            (np.ones(len(inside)), (slot, inside)), shape=(len(self._keys), 16 * len(conn))
-        )
         self._k_unit_ref = _KX_REF + _KY_REF  # hx = hy
         self.stiffness_scatter = sp.csr_matrix(
-            self._scatter @ sp.kron(sp.identity(len(conn)), self._k_unit_ref.reshape(16, 1))
+            self.pattern.scatter
+            @ sp.kron(sp.identity(len(conn)), self._k_unit_ref.reshape(16, 1))
         )
         local_mass = np.broadcast_to(h * h * _M_REF, (len(conn), 4, 4))
-        self.mass = self.on_pattern(self._scatter @ local_mass.ravel())
-        self.forcing = np.asarray(_assemble(conn, n_nodes, local_mass) @ np.ones(n_nodes))[
-            self.interior]
-
-    def on_pattern(self, data):
-        """The CSR matrix with ``data`` on the pattern slots."""
-        m = self.dof_count
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(m, m))
-
-    def entry_slots(self, rows, cols):
-        """Pattern slots of the dof entries (rows[k], cols[k])."""
-        keys = np.asarray(rows) * self.dof_count + np.asarray(cols)
-        slots = np.searchsorted(self._keys, keys)
-        if np.any(slots >= len(self._keys)) or np.any(self._keys[slots] != keys):
-            raise ValueError("entry outside the operator pattern")
-        return slots
+        self.mass = self.pattern.assemble(local_mass)
+        full_mass = _Q1Pattern(conn, np.ones(len(nodes), dtype=bool)).assemble(local_mass)
+        self.forcing = (full_mass @ np.ones(len(nodes)))[self.interior]
 
     def _full_u(self, u):
         full = np.zeros((self.n + 1) * (self.n + 1))
@@ -522,11 +513,13 @@ class NonlinearFom:
 
     def diffusion_matrix(self, mu):
         """A(mu): stiffness with the non-affine coefficient at element centers."""
-        return self.on_pattern(self.stiffness_scatter @ self.diffusion_coefficients(mu))
+        coef = self.diffusion_coefficients(mu)
+        return self.pattern.on_pattern(self.stiffness_scatter @ coef)
 
     def convection_matrix(self, u):
         """C(u): stiffness with the solution-dependent element coefficient."""
-        return self.on_pattern(self.stiffness_scatter @ self.convection_coefficients(u))
+        coef = self.convection_coefficients(u)
+        return self.pattern.on_pattern(self.stiffness_scatter @ coef)
 
     def operator_snapshot(self, u, mu):
         return self.diffusion_matrix(mu), self.convection_matrix(u)
@@ -545,7 +538,8 @@ class NonlinearFom:
         dcoef = _NONLIN_COEFF * 2.0 * mean_u / 4.0
         ku = np.einsum("ij,ej->ei", self._k_unit_ref, u_e)
         local = coef[:, None, None] * self._k_unit_ref + (dcoef[:, None] * ku)[:, :, None]
-        return self.on_pattern(self.mass.data + self._scatter @ local.ravel())
+        data = self.mass.data + self.pattern.scatter @ local.ravel()
+        return self.pattern.on_pattern(data)
 
 
 def nonlinear_solve(fom, mu, tol=1e-9, max_iter=50):

@@ -38,21 +38,21 @@ class FunctionSamples:
 
 @dataclass
 class EimBasis:
-    """Hierarchical interpolation basis with its magic indices.
-
-    ``interp_matrix`` is the unit-lower-triangular collocation matrix
-    (basis rows at the magic indices).
-    """
+    """Hierarchical interpolation basis with its magic indices."""
 
     basis: np.ndarray
     magic_indices: list
-    interp_matrix: np.ndarray
     error_history: list
     selected_parameter_indices: list
 
     @property
     def size(self):
         return self.basis.shape[1]
+
+    @property
+    def interp_matrix(self):
+        """The collocation matrix: the basis rows at the magic indices."""
+        return self.basis[self.magic_indices, :]
 
 
 @dataclass
@@ -132,11 +132,9 @@ def eim_build(samples, tol=1e-12, n_max=None):
         if eps <= tol:
             break
 
-    t = basis[indices, :]
     return EimBasis(
         basis=basis,
         magic_indices=indices,
-        interp_matrix=t,
         error_history=history,
         selected_parameter_indices=selected_cols,
     )
@@ -279,7 +277,7 @@ def mdeim_reconstruct(basis, operator):
 def _modes_on_slots(problem, basis):
     """The basis modes on the problem's pattern slots, and the magic slots."""
     cols, rows = np.divmod(basis.pattern, basis.matrix_shape[0])
-    slots = problem.entry_slots(rows, cols)
+    slots = problem.pattern.entry_slots(rows, cols)
     modes = np.zeros((len(problem.mass.data), basis.size))
     modes[slots] = basis.basis
     return modes, slots[basis.magic_indices]
@@ -317,7 +315,7 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     g_a, g_c = g[:a_basis.size], g[a_basis.size:]
     a_values = g_a @ problem.diffusion_coefficients(mu, mesh)
     fixed = problem.mass.data + a_modes @ deim_coefficients(a_basis, a_values)
-    op = problem.on_pattern(np.empty_like(fixed))  # data set by each iteration
+    op = problem.pattern.on_pattern(np.empty_like(fixed))  # data set by each iteration
     f = np.asarray(problem.forcing, dtype=float)
     u = np.zeros(f.shape[0])
     for it in range(max_iter + 1):

@@ -146,7 +146,6 @@ class TestDemoCommands:
         q = min(11, basis.size)
         sub = interpolation.EimBasis(
             basis=basis.basis[:, :q], magic_indices=basis.magic_indices[:q],
-            interp_matrix=basis.interp_matrix[:q, :q],
             error_history=basis.error_history[:q],
             selected_parameter_indices=basis.selected_parameter_indices[:q],
         )
@@ -209,6 +208,34 @@ class TestDemoCommands:
         cfg.write_text("{ not json }")
         assert _run(["eim-demo", "--config", str(cfg)]) == 2
         assert "config.json:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("asub-demo", {"grid": 8}),  # an option asub-demo does not read
+        ("thermal-block", {"seed": 1}),
+        ("eim-demo", {"grid": "eight"}),  # a value that is not an int
+    ])
+    def test_bad_config_key_or_value_exit_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config.json:1:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDeclaredFlags:
+    # the flags every subcommand once took and these do not read
+    @pytest.mark.parametrize("command, flag", (
+        [("deim-demo", flag) for flag in ("--tol", "--n-max")]
+        + [("asub-demo", flag) for flag in ("--grid", "--tol", "--n-max")]
+        + [(command, flag) for command in ("morph idw cloud.txt morph.json",
+                                           "rom solve model --mu 0.3")
+           for flag in ("--grid", "--train-size", "--tol", "--n-max", "--seed")]
+    ))
+    def test_flag_the_subcommand_does_not_read_exits_2(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            _run(command.split() + [flag, "4"])
+        assert exc.value.code == 2
 
 
 class TestRomCommands:

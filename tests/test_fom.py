@@ -26,6 +26,27 @@ def _bilinear_grad(xi, eta):
     ])
 
 
+def _coo_reference(conn, keep, local):
+    """COO sum of the element matrices, then an index copy of the kept nodes.
+
+    The assembly the pattern replaced; every operator must equal it bit for bit.
+    """
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, (1, 4)).ravel()
+    data = np.asarray(local).reshape(len(conn), 16).ravel()
+    full = sp.coo_matrix((data, (rows, cols)), shape=(len(keep), len(keep))).tocsr()
+    kept = np.flatnonzero(keep)
+    return sp.csr_matrix(full[np.ix_(kept, kept)])
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.format == "csr" and actual.shape == expected.shape
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert actual.data.dtype == expected.data.dtype
+    assert actual.data.tobytes() == expected.data.tobytes()
+
+
 def _quadrature_element_matrices(hx, hy):
     """Independent element-matrix oracle by 3x3 Gauss quadrature."""
     pts, wts = np.polynomial.legendre.leggauss(3)
@@ -128,13 +149,16 @@ class TestThermalBlock:
             load[j] += h / 2.0
             load[j + 1] += h / 2.0
         seen = []
-        restrict = fom._restrict
-        monkeypatch.setattr(fom, "_restrict",
-                            lambda a, k: seen.append(k) or restrict(a, k))
+        pattern = fom._Q1Pattern
+        monkeypatch.setattr(fom, "_Q1Pattern",
+                            lambda conn, mask: seen.append(mask) or pattern(conn, mask))
         system = fom.assemble_thermal_block(n=n)
-        assert len(seen) == 5
-        for k in seen:
-            assert k.dtype == keep.dtype and np.array_equal(k, keep)
+        # one pattern on the kept nodes builds the four terms, the mass and the gram
+        assert len(seen) == 1
+        assert seen[0].dtype == bool and seen[0].shape == (len(nodes),)
+        assert np.array_equal(np.flatnonzero(seen[0]), keep)
+        for a in system.matrix_terms + [system.gram]:
+            assert a.shape == (len(keep), len(keep))
         f = system.rhs_terms[0]
         assert f.dtype == load.dtype and np.array_equal(f, load[keep])
         assert np.array_equal(system.nodes, nodes[keep])
@@ -143,7 +167,7 @@ class TestThermalBlock:
         n, hy = 8, 1.0 / 8
         conn = fom._element_connectivity(n)
         xbar = fom._grid_nodes(n)[:, 0]
-        keep = np.array([k for k in range(len(xbar)) if xbar[k] < 1.0 - 1e-12])
+        keep = np.array([xbar[k] < 1.0 - 1e-12 for k in range(len(xbar))])
         for mu in (0.3, 0.5, 0.71):
             x = np.where(xbar <= 0.5, 2.0 * mu * xbar,
                          (2.0 - 2.0 * mu) * xbar + 2.0 * mu - 1.0)
@@ -152,9 +176,9 @@ class TestThermalBlock:
                 hx = x[elem[1]] - x[elem[0]]
                 sigma = 1.0 if 0.5 * (x[elem[1]] + x[elem[0]]) < mu else 0.3
                 local[k] = sigma * ((hy / hx) * fom._KX_REF + (hx / hy) * fom._KY_REF)
-            expected = fom._restrict(fom._assemble(conn, len(xbar), local), keep)
+            expected = _coo_reference(conn, keep, local)
             direct = fom.thermal_block_direct(n, mu, sigma1=1.0, sigma2=0.3)
-            assert np.array_equal(direct.toarray(), expected.toarray())
+            _assert_bitwise(direct, expected)
 
     def test_requires_even_resolution(self):
         with pytest.raises(ValueError):
@@ -228,6 +252,89 @@ class TestGaussianPoisson:
         mass = system.meta["mass_full"].toarray()
         expected = (mass @ g)[system.meta["interior"]]
         assert np.allclose(f, expected, atol=1e-14)
+
+
+class TestPatternMatchesCooReference:
+    """Every full-order operator equals the COO reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 10, 32])
+    def test_thermal_block_terms_and_gram(self, n):
+        conn = fom._element_connectivity(n)
+        nodes = fom._grid_nodes(n)
+        left = nodes[conn].mean(axis=1)[:, 0] < 0.5
+        keep = nodes[:, 0] < 1.0 - 1e-12
+        h = 1.0 / n
+        mass = _coo_reference(conn, keep,
+                              np.broadcast_to(h * h * fom._M_REF, (len(conn), 4, 4)))
+        for sigma2 in (0.1, 1.0):
+            system = fom.assemble_thermal_block(n=n, sigma2=sigma2)
+            terms = []
+            for mask, sigma, ref in ((left, 1.0, fom._KX_REF), (left, 1.0, fom._KY_REF),
+                                     (~left, sigma2, fom._KX_REF),
+                                     (~left, sigma2, fom._KY_REF)):
+                local = np.zeros((len(conn), 4, 4))
+                local[mask] = sigma * ref
+                terms.append(_coo_reference(conn, keep, local))
+            for actual, expected in zip(system.matrix_terms, terms):
+                _assert_bitwise(actual, expected)
+            _assert_bitwise(system.gram, sp.csr_matrix(sum(terms) + mass))
+
+    @pytest.mark.parametrize("n", [4, 10, 32])
+    def test_direct_assembly(self, n):
+        conn = fom._element_connectivity(n)
+        xbar = fom._grid_nodes(n)[:, 0]
+        hy = 1.0 / n
+        for sigma2 in (0.1, 1.0):
+            for mu in 0.05 + 0.9 * np.random.default_rng(n).random(4):
+                x = np.where(xbar <= 0.5, 2.0 * mu * xbar,
+                             (2.0 - 2.0 * mu) * xbar + 2.0 * mu - 1.0)
+                hx = (x[conn[:, 1]] - x[conn[:, 0]])[:, None, None]
+                centers = 0.5 * (x[conn[:, 1]] + x[conn[:, 0]])
+                sigma = np.where(centers < mu, 1.0, sigma2)[:, None, None]
+                local = sigma * ((hy / hx) * fom._KX_REF + (hx / hy) * fom._KY_REF)
+                _assert_bitwise(fom.thermal_block_direct(n, mu, sigma2=sigma2),
+                                _coo_reference(conn, xbar < 1.0 - 1e-12, local))
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_gaussian_poisson_stiffness_gram_and_mass(self, n):
+        system, _ = fom.assemble_gaussian_poisson(n=n)
+        conn = fom._element_connectivity(n)
+        interior = np.zeros(len(system.meta["all_nodes"]), dtype=bool)
+        interior[system.meta["interior"]] = True
+        local_mass = np.broadcast_to((2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))
+        stiff = _coo_reference(conn, interior, np.broadcast_to(
+            fom._KX_REF + fom._KY_REF, (len(conn), 4, 4)))
+        _assert_bitwise(system.matrix_terms[0], stiff)
+        _assert_bitwise(system.gram, sp.csr_matrix(
+            stiff + _coo_reference(conn, interior, local_mass)))
+        _assert_bitwise(system.meta["mass_full"],
+                        _coo_reference(conn, np.ones_like(interior), local_mass))
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_nonlinear_mass_stiffness_and_forcing(self, n):
+        problem = fom.NonlinearFom(n=n)
+        conn = problem.conn
+        interior = np.zeros(len(problem.all_nodes), dtype=bool)
+        interior[problem.interior] = True
+        h = 1.0 / n
+        local_mass = np.broadcast_to(h * h * fom._M_REF, (len(conn), 4, 4))
+        _assert_bitwise(problem.mass, _coo_reference(conn, interior, local_mass))
+        full_mass = _coo_reference(conn, np.ones_like(interior), local_mass)
+        forcing = (full_mass @ np.ones(len(interior)))[problem.interior]
+        assert forcing.tobytes() == problem.forcing.tobytes()
+
+        # stiffness_scatter is a sparse matrix product, which lists each row's
+        # elements in descending order: the stiffness sums the contributions
+        # last element first, as the COO sum of the reversed element list does
+        k_ref = fom._KX_REF + fom._KY_REF
+        rng = np.random.default_rng(n)
+        for mu in problem.domain.sample(3, n):
+            u = 0.1 * rng.standard_normal(problem.dof_count)
+            a, c = problem.operator_snapshot(u, mu)
+            for actual, coef in ((a, problem.diffusion_coefficients(mu)),
+                                 (c, problem.convection_coefficients(u))):
+                _assert_bitwise(actual, _coo_reference(
+                    conn[::-1], interior, (coef[:, None, None] * k_ref)[::-1]))
 
 
 class TestNonlinearFom:

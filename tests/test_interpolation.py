@@ -153,10 +153,10 @@ class TestEimBuild:
             sub = interpolation.EimBasis(
                 basis=basis.basis[:, :k],
                 magic_indices=basis.magic_indices[:k],
-                interp_matrix=basis.interp_matrix[:k, :k],
                 error_history=basis.error_history[:k],
                 selected_parameter_indices=basis.selected_parameter_indices[:k],
             )
+            assert np.array_equal(sub.interp_matrix, basis.interp_matrix[:k, :k])
             j = basis.selected_parameter_indices[k - 1]
             col = samples.values[:, j]
             rec = interpolation.eim_interpolate(sub, col[sub.magic_indices])
