@@ -16,10 +16,8 @@ def main():
     points = system.meta["all_nodes"]
     train = system.domain.sample(100, 42)
     values = np.column_stack([forcing(points, mu) for mu in train])
-    samples = interpolation.FunctionSamples(values=values, points=points,
-                                            parameters=list(train))
 
-    basis = interpolation.eim_build(samples, tol=1e-10, n_max=15)
+    basis = interpolation.eim_build(values, tol=1e-10, n_max=15)
     print("EIM greedy history (q, sup-norm error over training set):")
     for q, eps in enumerate(basis.error_history, start=1):
         print(f"  q = {q:2d}: {eps:.3e}")

@@ -16,9 +16,8 @@ def main():
     snaps = np.column_stack(
         [fom.fom_solve(system, mu).coefficients for mu in params]
     )
-    snapshots = rb.SnapshotSet(matrix=snaps, parameters=params)
 
-    basis = rb.pod(snapshots, gram=system.gram, rank=8)
+    basis = rb.pod(snaps, gram=system.gram, rank=8)
     sigma = basis.singular_values
     print("leading singular values:")
     for k, s in enumerate(sigma[:6]):

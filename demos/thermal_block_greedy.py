@@ -28,7 +28,7 @@ def main():
 
     # the full basis is exact up to round-off, so sweep a deliberately
     # truncated N = 1 model where the bound has something to certify
-    small = rb.ReducedBasis(basis=basis.basis[:, :1], gram=system.gram)
+    small = rb.ReducedBasis(basis=basis.basis[:, :1])
     romsys = rb.project(system, small)
     offline = certification.riesz_offline(system, small)
     print("\ncertified sweep with N = 1 (mu, bound, true output gap,"

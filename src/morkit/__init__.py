@@ -38,7 +38,6 @@ from .fom import (
 from .interpolation import (
     DeimBasis,
     EimBasis,
-    FunctionSamples,
     deim_build,
     deim_eval,
     eim_build,
@@ -61,7 +60,6 @@ from .morphing import (
 from .rb import (
     ReducedBasis,
     RomSystem,
-    SnapshotSet,
     greedy,
     lift,
     load_rom,

@@ -141,9 +141,7 @@ def _run_eim_demo(args):
     points = system.meta["all_nodes"]
     params = system.domain.sample(args.train_size, args.seed)
     values = np.column_stack([forcing(points, mu) for mu in params])
-    samples = interpolation.FunctionSamples(values=values, points=points,
-                                            parameters=list(params))
-    basis = interpolation.eim_build(samples, tol=args.tol, n_max=args.n_max)
+    basis = interpolation.eim_build(values, tol=args.tol, n_max=args.n_max)
 
     fom.write_csv(os.path.join(args.out, "eim_history.csv"), "q,epsilon",
                   [(q + 1, e) for q, e in enumerate(basis.error_history)])

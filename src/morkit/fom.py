@@ -17,6 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .linalg import SingularMatrixError
+
 # reference element matrices on [0,1]^2, node order (0,0),(1,0),(1,1),(0,1)
 _KX_REF = np.array(
     [[2, -2, -1, 1], [-2, 2, 1, -1], [-1, 1, 2, -2], [1, -1, -2, 2]], dtype=float
@@ -160,7 +162,7 @@ class AffineSystem:
         try:
             return spla.factorized(sp.csc_matrix(self.gram))
         except RuntimeError as exc:
-            raise np.linalg.LinAlgError(f"gram factorization failed: {exc}") from exc
+            raise SingularMatrixError(f"gram factorization failed: {exc}") from exc
 
     def gram_solve(self, b, factor):
         """Solve gram x = b with ``factor`` from :meth:`gram_factor`."""
@@ -322,7 +324,6 @@ def assemble_thermal_block(n=32, sigma1=1.0, sigma2=1.0):
         domain=ParamDomain([0.05], [0.95]),
         theta_name="thermal-block",
         nodes=nodes[keep],
-        meta={"n": n, "sigma1": sigma1, "sigma2": sigma2},
     )
 
 
@@ -398,12 +399,7 @@ def assemble_gaussian_poisson(n=24):
         gram=gram,
         domain=ParamDomain([-1.0, -1.0], [1.0, 1.0]),
         nodes=nodes[interior],
-        meta={
-            "n": n,
-            "all_nodes": nodes,
-            "interior": interior,
-            "mass_full": mass_full,
-        },
+        meta={"all_nodes": nodes, "interior": interior, "mass_full": mass_full},
     )
     return system, gaussian_forcing
 
@@ -433,10 +429,10 @@ def fom_solve(system, mu):
     f = system.assemble_rhs(mu)
     u = spla.spsolve(a, f)
     if not np.all(np.isfinite(u)):
-        raise np.linalg.LinAlgError("full-order solve produced non-finite values")
+        raise SingularMatrixError("full-order solve produced non-finite values")
     resid = np.linalg.norm(a @ u - f)
     if resid > 1e-10 * max(np.linalg.norm(f), 1.0):
-        raise np.linalg.LinAlgError(
+        raise SingularMatrixError(
             f"full-order solve residual too large: {resid:.3e}"
         )
     return FomSolution(mu=mu, coefficients=u, output=float(f @ u))

@@ -19,24 +19,6 @@ from .fom import NewtonError
 
 
 @dataclass
-class FunctionSamples:
-    """Sampled function values: rows are spatial points, columns parameters."""
-
-    values: np.ndarray
-    points: np.ndarray = None
-    parameters: list = None
-
-    def __post_init__(self):
-        self.values = linalg.check_matrix(self.values, "sample matrix")
-        if self.points is not None:
-            self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-            if self.points.shape[0] != self.values.shape[0]:
-                raise ValueError("point count must match the sample row count")
-        if self.parameters is not None and len(self.parameters) != self.values.shape[1]:
-            raise ValueError("parameter count must match the sample column count")
-
-
-@dataclass
 class EimBasis:
     """Hierarchical interpolation basis with its magic indices."""
 
@@ -91,17 +73,18 @@ def _eim_residual(f, basis, indices):
 def eim_build(samples, tol=1e-12, n_max=None):
     """Greedy empirical-interpolation basis from a sample matrix.
 
-    Column selection maximizes the sup-norm interpolation residual, the magic
-    index maximizes the pointwise residual of that column, and the normalized
-    residual column is appended. The recorded error history uses the
-    up-to-date interpolant after each append, so it is non-increasing and the
-    stopping test reflects the current basis. Each step makes one pass over
-    the new residual: its column sup norms give both the error and the next
-    column.
+    ``samples`` is the 2-d matrix of function values, one row per spatial
+    point and one column per parameter. Column selection maximizes the
+    sup-norm interpolation residual, the magic index maximizes the
+    pointwise residual of that column, and the normalized residual column
+    is appended. The recorded error history uses the up-to-date interpolant
+    after each append, so it is non-increasing and the stopping test
+    reflects the current basis. Each step makes one pass over the new
+    residual: its column sup norms give both the error and the next column.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    f = samples.values
+    f = linalg.check_matrix(samples, "sample matrix")
     m, n_cols = f.shape
     residual = f
     col_err = np.abs(residual).max(axis=0)
@@ -173,7 +156,8 @@ def lebesgue_constant(basis):
 def deim_build(snapshots, tol=1e-10, n_max=None):
     """Interpolation basis from POD modes with greedy index selection.
 
-    The stopping error is the relative Frobenius reconstruction error of the
+    ``snapshots`` is the 2-d snapshot matrix, one column per parameter. The
+    stopping error is the relative Frobenius reconstruction error of the
     snapshot matrix from its currently sampled rows.
     """
     s = linalg.check_matrix(snapshots, "snapshot matrix")
@@ -196,7 +180,7 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
         try:
             coeff = np.linalg.solve(pth, s[indices, :])
         except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
+            raise linalg.SingularMatrixError(
                 "singular sampled-row system during index selection"
             ) from exc
         eps = float(np.linalg.norm(s - h_q @ coeff) / s_norm)
@@ -208,7 +192,7 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
         r = modes[:, q] - h_q @ c
         i_k = int(np.argmax(np.abs(r)))
         if i_k in indices:  # guarded: cannot happen with independent modes
-            raise RuntimeError("repeated interpolation index")
+            raise linalg.SingularMatrixError("repeated interpolation index")
         indices.append(i_k)
         q += 1
     return DeimBasis(

@@ -172,7 +172,6 @@ class RbfMorph:
     kernel: str
     radius: float
     control_points: np.ndarray
-    deformed_points: np.ndarray
     weights: np.ndarray  # gamma, one column per spatial component
     poly_const: np.ndarray  # c
     poly_matrix: np.ndarray  # Q, applied as x -> Q x
@@ -254,7 +253,6 @@ def rbf_build(control_points, deformed_points, kernel="gaussian", radius=None):
         kernel=kernel,
         radius=float(radius),
         control_points=x_c,
-        deformed_points=y_c,
         weights=gamma,
         poly_const=poly_const,
         poly_matrix=poly_matrix,

@@ -17,27 +17,6 @@ from .fom import THETA_REGISTRY, affine_sum, fom_solve
 
 
 @dataclass
-class SnapshotSet:
-    """Full-order solutions stored column-wise, aligned with their parameters."""
-
-    matrix: np.ndarray
-    parameters: list
-
-    def __post_init__(self):
-        self.matrix = linalg.check_matrix(self.matrix, "snapshot matrix")
-        params = [np.atleast_1d(np.asarray(p, dtype=float)) for p in self.parameters]
-        if self.matrix.shape[1] != len(params):
-            raise ValueError("snapshot column count must equal parameter count")
-        seen = set()
-        for p in params:
-            key = tuple(p.tolist())
-            if key in seen:
-                raise ValueError(f"duplicate parameter point {p}")
-            seen.add(key)
-        self.parameters = params
-
-
-@dataclass
 class ReducedBasis:
     """Orthonormal column basis in the gram inner product.
 
@@ -47,7 +26,6 @@ class ReducedBasis:
     """
 
     basis: np.ndarray
-    gram: object = None
     singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
     selected_parameters: list = field(default_factory=list)
     history: list = field(default_factory=list)  # greedy (N, max_delta) pairs
@@ -65,16 +43,17 @@ def _gram_apply(gram, x):
 
 
 def pod(snapshots, gram=None, rank=None, energy=None):
-    """Best low-rank basis of a snapshot set in the gram-weighted sense.
+    """Best low-rank basis of a snapshot matrix in the gram-weighted sense.
 
-    Computed by the method of snapshots: eigendecomposition of the small
-    gram-weighted correlation matrix. Truncation either at a fixed ``rank``
-    or at the smallest N whose plain singular-value sum reaches the
-    ``energy`` fraction of the total sum.
+    ``snapshots`` is the 2-d matrix S = [u(mu_1) ... u(mu_n)], one column
+    per parameter. Computed by the method of snapshots: eigendecomposition
+    of the small gram-weighted correlation matrix. Truncation either at a
+    fixed ``rank`` or at the smallest N whose plain singular-value sum
+    reaches the ``energy`` fraction of the total sum.
     """
     if (rank is None) == (energy is None):
         raise ValueError("exactly one of rank / energy must be given")
-    s = snapshots.matrix
+    s = linalg.check_matrix(snapshots, "snapshot matrix")
     n_max = s.shape[1]
     if np.abs(s).max() == 0.0:
         raise ValueError("snapshot matrix is identically zero, no basis derivable")
@@ -110,7 +89,7 @@ def pod(snapshots, gram=None, rank=None, energy=None):
         if col[np.argmax(np.abs(col))] < 0:
             col = -col
         basis = np.column_stack([basis, col])
-    return ReducedBasis(basis=basis, gram=gram, singular_values=sigma)
+    return ReducedBasis(basis=basis, singular_values=sigma)
 
 
 def greedy(system, training_set, tol, mu1, n_max, estimator):
@@ -131,9 +110,7 @@ def greedy(system, training_set, tol, mu1, n_max, estimator):
     zeta = linalg.orthonormalize(u1, np.zeros((system.dof_count, 0)), gram)
     if zeta is None:
         raise ValueError("initial snapshot is numerically zero")
-    basis = ReducedBasis(
-        basis=zeta.reshape(-1, 1), gram=gram, selected_parameters=[mu1]
-    )
+    basis = ReducedBasis(basis=zeta.reshape(-1, 1), selected_parameters=[mu1])
 
     while True:
         bounds = np.asarray(estimator.delta_function(system, basis)(training), dtype=float)

@@ -33,10 +33,8 @@ def gaussian_eim():
     points = system.meta["all_nodes"]
     params = system.domain.sample(100, 42)
     values = np.column_stack([forcing(points, mu) for mu in params])
-    samples = interpolation.FunctionSamples(values=values, points=points,
-                                            parameters=list(params))
-    basis = interpolation.eim_build(samples, tol=1e-13, n_max=20)
-    return system, forcing, samples, basis
+    basis = interpolation.eim_build(values, tol=1e-13, n_max=20)
+    return system, forcing, values, basis
 
 
 @pytest.fixture(scope="session")

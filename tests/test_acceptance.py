@@ -33,7 +33,7 @@ def gaussian_demo():
     points = system.meta["all_nodes"]
     params = system.domain.sample(100, 42)
     values = np.column_stack([forcing(points, mu) for mu in params])
-    return system, interpolation.FunctionSamples(values=values, points=points)
+    return system, values
 
 
 class TestAcceptance:
@@ -62,7 +62,7 @@ class TestAcceptance:
         snapshot = fom.fom_solve(system, [0.5]).coefficients
         zeta = linalg.orthonormalize(snapshot, np.zeros((system.dof_count, 0)),
                                      system.gram)
-        basis = rb.ReducedBasis(basis=zeta.reshape(-1, 1), gram=system.gram)
+        basis = rb.ReducedBasis(basis=zeta.reshape(-1, 1))
         offline = certification.riesz_offline(system, basis)
         romsys = rb.project(system, basis)
 
@@ -123,10 +123,8 @@ class TestAcceptance:
         worst = 0.0
         for trial in range(3):
             s = rng.standard_normal((200, 30))
-            snaps = rb.SnapshotSet(matrix=s,
-                                   parameters=[[float(k)] for k in range(30)])
             for rank in (5, 12, 25):
-                basis = rb.pod(snaps, rank=rank)
+                basis = rb.pod(s, rank=rank)
                 err = np.linalg.norm(s - basis.basis @ (basis.basis.T @ s))
                 tail = math.sqrt(float(np.sum(basis.singular_values[rank:] ** 2)))
                 worst = max(worst, abs(err - tail) / tail)
@@ -141,15 +139,15 @@ class TestAcceptance:
         )
 
     def test_05_eim_contract(self, gaussian_demo):
-        _, samples = gaussian_demo
-        basis = interpolation.eim_build(samples, tol=1e-14, n_max=25)
+        _, values = gaussian_demo
+        basis = interpolation.eim_build(values, tol=1e-14, n_max=25)
         t = basis.interp_matrix
         unit_lower = (np.allclose(np.diag(t), 1.0, atol=1e-12)
                       and np.abs(np.triu(t, 1)).max() < 1e-12)
 
         magic_err = 0.0
-        for j in range(samples.values.shape[1]):
-            col = samples.values[:, j]
+        for j in range(values.shape[1]):
+            col = values[:, j]
             rec = interpolation.eim_interpolate(basis, col[basis.magic_indices])
             magic_err = max(magic_err, float(
                 np.abs(rec[basis.magic_indices] - col[basis.magic_indices]).max()
@@ -160,7 +158,7 @@ class TestAcceptance:
 
         lebesgue_ok = True
         for q in range(1, 21):
-            sub = interpolation.eim_build(samples, tol=1e-15, n_max=q)
+            sub = interpolation.eim_build(values, tol=1e-15, n_max=q)
             if interpolation.lebesgue_constant(sub) > 2.0 ** q - 1.0 + 1e-9:
                 lebesgue_ok = False
 
@@ -169,7 +167,6 @@ class TestAcceptance:
         # the Eckart-Young floor sqrt(sum_{k>Q} sigma_k^2 / (n m)); the POD
         # space of the same samples has sup error e_pod(Q), and interpolation
         # may exceed best approximation by the factor 1 + Lambda_Q.
-        values = samples.values
         m, n = values.shape
         u, sigma, _ = np.linalg.svd(values, full_matrices=False)
         checkpoints = (5, 10, 15, 20, 25)
@@ -177,7 +174,7 @@ class TestAcceptance:
         for q in checkpoints:
             u_q = u[:, :q]
             e_pod = float(np.abs(values - u_q @ (u_q.T @ values)).max())
-            sub = interpolation.eim_build(samples, tol=1e-15, n_max=q)
+            sub = interpolation.eim_build(values, tol=1e-15, n_max=q)
             lebesgue = interpolation.lebesgue_constant(sub)
             ratios.append(hist[q - 1] / ((1.0 + lebesgue) * e_pod))
             floors.append(math.sqrt((sigma[q:] ** 2).sum() / (n * m)))

@@ -36,7 +36,7 @@ class TestResidualDualNorm:
     def test_matches_assembled_residual_oracle(self, thermal_greedy):
         # one-column basis keeps the residual far above round-off
         system, _, full_basis = thermal_greedy
-        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1], gram=system.gram)
+        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1])
         offline = certification.riesz_offline(system, basis)
         romsys = rb.project(system, basis)
         rng = np.random.default_rng(31)
@@ -53,7 +53,7 @@ class TestResidualDualNorm:
         truth = fom.fom_solve(system, mu)
         zeta = linalg.orthonormalize(truth.coefficients,
                                      np.zeros((system.dof_count, 0)), system.gram)
-        basis = rb.ReducedBasis(basis=zeta.reshape(-1, 1), gram=system.gram)
+        basis = rb.ReducedBasis(basis=zeta.reshape(-1, 1))
         offline = certification.riesz_offline(system, basis)
         romsys = rb.project(system, basis)
         u_n, _ = rb.rom_solve(romsys, mu)
@@ -182,7 +182,7 @@ class TestBoundRigor:
     def test_energy_bound_above_energy_error(self, thermal_greedy):
         system, model, full_basis = thermal_greedy
         # truncate to one column so the error is far from round-off
-        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1], gram=system.gram)
+        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1])
         offline = certification.riesz_offline(system, basis)
         romsys = rb.project(system, basis)
         rng = np.random.default_rng(32)
@@ -202,7 +202,7 @@ class TestBoundRigor:
     def test_output_gap_equals_energy_error_squared(self, thermal_greedy):
         # compliance: s_h - s_N = |e|_mu^2 exactly
         system, _, full_basis = thermal_greedy
-        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1], gram=system.gram)
+        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1])
         romsys = rb.project(system, basis)
         for mu in (0.2, 0.6):
             truth = fom.fom_solve(system, [mu])
@@ -236,7 +236,7 @@ class TestBoundRigor:
         system, model, full_basis = thermal_greedy
         import scipy.linalg
 
-        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1], gram=system.gram)
+        basis = rb.ReducedBasis(basis=full_basis.basis[:, :1])
         offline = certification.riesz_offline(system, basis)
         romsys = rb.project(system, basis)
         g = system.gram.toarray()

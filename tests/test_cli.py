@@ -140,9 +140,8 @@ class TestDemoCommands:
         system, forcing = fom.assemble_gaussian_poisson(n=8)
         points = system.meta["all_nodes"]
         params = system.domain.sample(100, 42)
-        samples = interpolation.FunctionSamples(
-            values=np.column_stack([forcing(points, mu) for mu in params]))
-        basis = interpolation.eim_build(samples, tol=1e-12, n_max=25)
+        values = np.column_stack([forcing(points, mu) for mu in params])
+        basis = interpolation.eim_build(values, tol=1e-12, n_max=25)
         q = min(11, basis.size)
         sub = interpolation.EimBasis(
             basis=basis.basis[:, :q], magic_indices=basis.magic_indices[:q],

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from morkit import fom
+from morkit import fom, linalg
 
 
 def _bilinear_shape(xi, eta):
@@ -220,6 +221,36 @@ class TestThermalBlock:
         system = fom.assemble_thermal_block(n=6)
         with pytest.raises(ValueError):
             fom.fom_solve(system, [1.5])
+
+
+class TestSingularSystems:
+    """The left-material x term alone leaves the right half decoupled."""
+
+    @pytest.fixture
+    def block(self):
+        system = fom.assemble_thermal_block(n=8)
+        return system, system.matrix_terms[0]
+
+    def test_fom_solve_raises_typed_error(self, block):
+        system, left = block
+        singular = fom.AffineSystem(
+            matrix_terms=[left], rhs_terms=system.rhs_terms,
+            theta_a=lambda mu: np.array([1.0]), theta_f=system.theta_f,
+            gram=system.gram, domain=system.domain,
+        )
+        with pytest.warns(spla.MatrixRankWarning), \
+                pytest.raises(linalg.SingularMatrixError):
+            fom.fom_solve(singular, [0.5])
+
+    def test_gram_factor_raises_typed_error(self, block):
+        system, left = block
+        singular = fom.AffineSystem(
+            matrix_terms=system.matrix_terms, rhs_terms=system.rhs_terms,
+            theta_a=system.theta_a, theta_f=system.theta_f,
+            gram=left, domain=system.domain,
+        )
+        with pytest.raises(linalg.SingularMatrixError):
+            singular.gram_factor()
 
 
 class TestGaussianPoisson:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from morkit import fom, interpolation
+from morkit import fom, interpolation, rb
 
 
 def _deim_reference_indices(snapshots):
@@ -96,11 +96,37 @@ def _brute_force_lebesgue(basis):
     return float(np.abs(lagrange).sum(axis=1).max())
 
 
+# the three snapshot builders; pod alone needs a truncation
+_SNAPSHOT_BUILDERS = {
+    "pod": lambda s: rb.pod(s, rank=1),
+    "eim_build": interpolation.eim_build,
+    "deim_build": interpolation.deim_build,
+}
+
+
+@pytest.mark.parametrize("build", _SNAPSHOT_BUILDERS.values(),
+                         ids=_SNAPSHOT_BUILDERS.keys())
+class TestSnapshotMatrixInput:
+    """POD, EIM and DEIM take the snapshot matrix, one column per parameter."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones(3), "matrix must be 2-dimensional"),
+        (np.zeros((3, 0)), "matrix must be nonempty"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix contains non-finite"),
+    ], ids=["1-d", "empty", "non-finite"])
+    def test_rejects(self, build, bad, message):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
+    def test_accepts_list_of_lists(self, build):
+        rows = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+        assert np.array_equal(build(rows).basis, build(np.array(rows)).basis)
+
+
 class TestEimBuild:
     def test_single_column(self):
         v = np.array([1.0, -3.0, 2.0])
-        samples = interpolation.FunctionSamples(values=v.reshape(-1, 1))
-        basis = interpolation.eim_build(samples, n_max=5)
+        basis = interpolation.eim_build(v.reshape(-1, 1), n_max=5)
         assert basis.size == 1
         assert basis.magic_indices == [1]
         assert np.allclose(basis.basis[:, 0], v / -3.0, atol=1e-15)
@@ -109,15 +135,14 @@ class TestEimBuild:
         rng = np.random.default_rng(41)
         span = rng.standard_normal((30, 3))
         coeffs = rng.standard_normal((3, 12))
-        samples = interpolation.FunctionSamples(values=span @ coeffs)
-        basis = interpolation.eim_build(samples, tol=1e-12, n_max=10)
+        basis = interpolation.eim_build(span @ coeffs, tol=1e-12, n_max=10)
         assert basis.size == 3
         assert basis.error_history[-1] <= 1e-12
 
     def test_unit_lower_triangular_every_iteration(self, gaussian_eim):
-        _, _, samples, _ = gaussian_eim
+        _, _, values, _ = gaussian_eim
         for q in range(1, 9):
-            basis = interpolation.eim_build(samples, tol=1e-15, n_max=q)
+            basis = interpolation.eim_build(values, tol=1e-15, n_max=q)
             t = basis.interp_matrix
             assert np.allclose(np.diag(t), 1.0, atol=1e-12)
             assert np.abs(np.triu(t, 1)).max() < 1e-12
@@ -140,15 +165,15 @@ class TestEimBuild:
             assert b <= a + 1e-12
 
     def test_training_columns_interpolated_exactly_at_magic_points(self, gaussian_eim):
-        _, _, samples, basis = gaussian_eim
-        for j in range(samples.values.shape[1]):
-            col = samples.values[:, j]
+        _, _, values, basis = gaussian_eim
+        for j in range(values.shape[1]):
+            col = values[:, j]
             rec = interpolation.eim_interpolate(basis, col[basis.magic_indices])
             assert np.abs(rec[basis.magic_indices] - col[basis.magic_indices]).max() < 1e-12
 
     def test_selected_column_error_drops_after_append(self, gaussian_eim):
-        _, _, samples, _ = gaussian_eim
-        basis = interpolation.eim_build(samples, tol=1e-15, n_max=5)
+        _, _, values, _ = gaussian_eim
+        basis = interpolation.eim_build(values, tol=1e-15, n_max=5)
         for k in range(1, 6):
             sub = interpolation.EimBasis(
                 basis=basis.basis[:, :k],
@@ -158,7 +183,7 @@ class TestEimBuild:
             )
             assert np.array_equal(sub.interp_matrix, basis.interp_matrix[:k, :k])
             j = basis.selected_parameter_indices[k - 1]
-            col = samples.values[:, j]
+            col = values[:, j]
             rec = interpolation.eim_interpolate(sub, col[sub.magic_indices])
             assert np.abs(rec - col).max() < 1e-12
 
@@ -175,9 +200,8 @@ class TestEimBuild:
             f = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12))
             tol, n_max = 1e-300, 10
         else:
-            f, tol, n_max = gaussian_eim[2].values, 1e-13, 20
-        basis = interpolation.eim_build(interpolation.FunctionSamples(values=f),
-                                        tol=tol, n_max=n_max)
+            f, tol, n_max = gaussian_eim[2], 1e-13, 20
+        basis = interpolation.eim_build(f, tol=tol, n_max=n_max)
         ref_basis, ref_indices, ref_cols, ref_history = _eim_two_pass_reference(
             f, tol, n_max)
         assert np.array_equal(basis.basis, ref_basis)
@@ -193,9 +217,8 @@ class TestEimBuild:
         assert stop == {"gaussian": "n_max"}.get(case, case)
 
     def test_zero_samples_rejected(self):
-        samples = interpolation.FunctionSamples(values=np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            interpolation.eim_build(samples)
+            interpolation.eim_build(np.zeros((4, 2)))
 
 
 class TestEimCoefficients:
@@ -227,21 +250,20 @@ class TestEimCoefficients:
 class TestLebesgue:
     def test_single_mode_constant_is_one(self):
         v = np.array([0.5, -2.0, 1.0])
-        samples = interpolation.FunctionSamples(values=v.reshape(-1, 1))
-        basis = interpolation.eim_build(samples, n_max=1)
+        basis = interpolation.eim_build(v.reshape(-1, 1), n_max=1)
         assert abs(interpolation.lebesgue_constant(basis) - 1.0) < 1e-14
 
     def test_matches_brute_force_oracle_on_toy(self):
         rng = np.random.default_rng(43)
-        samples = interpolation.FunctionSamples(values=rng.standard_normal((10, 6)))
-        basis = interpolation.eim_build(samples, tol=1e-15, n_max=5)
+        basis = interpolation.eim_build(rng.standard_normal((10, 6)), tol=1e-15,
+                                        n_max=5)
         fast = interpolation.lebesgue_constant(basis)
         assert abs(fast - _brute_force_lebesgue(basis)) < 1e-11
 
     def test_bound_holds_on_gaussian_demo(self, gaussian_eim):
-        _, _, samples, _ = gaussian_eim
+        _, _, values, _ = gaussian_eim
         for q in (1, 4, 8, 12):
-            basis = interpolation.eim_build(samples, tol=1e-15, n_max=q)
+            basis = interpolation.eim_build(values, tol=1e-15, n_max=q)
             constant = interpolation.lebesgue_constant(basis)
             assert constant <= 2.0 ** q - 1.0 + 1e-9
 

@@ -20,22 +20,11 @@ def _two_column_pod_oracle(s):
     return mode / np.linalg.norm(mode), np.sqrt(lam)
 
 
-class TestSnapshotSet:
-    def test_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            rb.SnapshotSet(matrix=np.ones((4, 2)), parameters=[[0.1]])
-
-    def test_duplicate_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            rb.SnapshotSet(matrix=np.ones((4, 2)), parameters=[[0.1], [0.1]])
-
-
 class TestPod:
     def test_dominant_mode_matches_closed_form(self):
         rng = np.random.default_rng(21)
         s = rng.standard_normal((12, 2))
-        snaps = rb.SnapshotSet(matrix=s, parameters=[[0.0], [1.0]])
-        basis = rb.pod(snaps, rank=1)
+        basis = rb.pod(s, rank=1)
         mode, sigma = _two_column_pod_oracle(s)
         assert min(np.linalg.norm(basis.basis[:, 0] - mode),
                    np.linalg.norm(basis.basis[:, 0] + mode)) < 1e-10
@@ -46,17 +35,15 @@ class TestPod:
         m = rng.standard_normal((15, 15))
         gram = m @ m.T + 15 * np.eye(15)
         s = rng.standard_normal((15, 6))
-        snaps = rb.SnapshotSet(matrix=s, parameters=[[float(k)] for k in range(6)])
-        basis = rb.pod(snaps, gram=gram, rank=4)
+        basis = rb.pod(s, gram=gram, rank=4)
         g = basis.basis.T @ gram @ basis.basis
         assert np.allclose(g, np.eye(4), atol=1e-10)
 
     def test_frobenius_error_equals_neglected_tail(self):
         rng = np.random.default_rng(23)
         s = rng.standard_normal((40, 10))
-        snaps = rb.SnapshotSet(matrix=s, parameters=[[float(k)] for k in range(10)])
         for rank in (2, 5, 8):
-            basis = rb.pod(snaps, rank=rank)
+            basis = rb.pod(s, rank=rank)
             proj = basis.basis @ (basis.basis.T @ s)
             err = np.linalg.norm(s - proj)
             tail = np.sqrt(np.sum(basis.singular_values[rank:] ** 2))
@@ -68,29 +55,25 @@ class TestPod:
         u = np.linalg.qr(rng.standard_normal((9, 3)))[0]
         v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         s = u @ np.diag([4.0, 2.0, 1.0]) @ v.T
-        snaps = rb.SnapshotSet(matrix=s, parameters=[[0.0], [1.0], [2.0]])
         # sum ratios: 4/7, 6/7, 1 -> energy 0.8 needs two modes
-        assert rb.pod(snaps, energy=0.8).size == 2
-        assert rb.pod(snaps, energy=0.5).size == 1
-        assert rb.pod(snaps, energy=1.0).size == 3
+        assert rb.pod(s, energy=0.8).size == 2
+        assert rb.pod(s, energy=0.5).size == 1
+        assert rb.pod(s, energy=1.0).size == 3
 
     def test_rank_and_energy_mutually_exclusive(self):
-        snaps = rb.SnapshotSet(matrix=np.eye(3), parameters=[[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError):
-            rb.pod(snaps)
+            rb.pod(np.eye(3))
         with pytest.raises(ValueError):
-            rb.pod(snaps, rank=1, energy=0.9)
+            rb.pod(np.eye(3), rank=1, energy=0.9)
 
     def test_zero_snapshots_rejected(self):
-        snaps = rb.SnapshotSet(matrix=np.zeros((4, 2)), parameters=[[0.0], [1.0]])
         with pytest.raises(ValueError):
-            rb.pod(snaps, rank=1)
+            rb.pod(np.zeros((4, 2)), rank=1)
 
     def test_deterministic_sign(self):
         rng = np.random.default_rng(25)
         s = rng.standard_normal((10, 3))
-        snaps = rb.SnapshotSet(matrix=s, parameters=[[0.0], [1.0], [2.0]])
-        basis = rb.pod(snaps, rank=2)
+        basis = rb.pod(s, rank=2)
         for k in range(2):
             col = basis.basis[:, k]
             assert col[np.argmax(np.abs(col))] > 0
