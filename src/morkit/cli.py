@@ -52,11 +52,19 @@ _OPTIONS = {
     "rom": {"out": None},
 }
 
+def positive_int(text):
+    """The type of the count options: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 _OPTION_TYPES = {
-    "grid": (int, "full-order grid resolution per direction"),
-    "train-size": (int, "training sample count"),
+    "grid": (positive_int, "full-order grid resolution per direction"),
+    "train-size": (positive_int, "training sample count"),
     "tol": (float, "stopping tolerance"),
-    "n-max": (int, "maximum basis size"),
+    "n-max": (positive_int, "maximum basis size"),
     "seed": (int, "random seed"),
     "out": (str, "output directory or file"),
 }

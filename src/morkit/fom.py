@@ -228,11 +228,11 @@ class _Q1Pattern:
         rows = np.repeat(dofs, 4, axis=1).ravel()
         cols = np.tile(dofs, (1, 4)).ravel()
         inside = np.flatnonzero((rows >= 0) & (cols >= 0))
-        self._keys, slot = np.unique(rows[inside] * m + cols[inside], return_inverse=True)
-        self._indptr = np.searchsorted(self._keys, np.arange(m + 1) * m)
-        self._indices = self._keys % m
+        keys, slot = np.unique(rows[inside] * m + cols[inside], return_inverse=True)
+        self._indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+        self._indices = keys % m
         self.scatter = sp.csr_matrix(
-            (np.ones(len(inside)), (slot, inside)), shape=(len(self._keys), 16 * len(conn))
+            (np.ones(len(inside)), (slot, inside)), shape=(len(keys), 16 * len(conn))
         )
 
     def assemble(self, local_matrices):
@@ -243,14 +243,6 @@ class _Q1Pattern:
         """The CSR matrix with ``data`` on the pattern slots."""
         shape = (self.size, self.size)
         return sp.csr_matrix((data, self._indices, self._indptr), shape=shape)
-
-    def entry_slots(self, rows, cols):
-        """Pattern slots of the kept-node entries (rows[k], cols[k])."""
-        keys = np.asarray(rows) * self.size + np.asarray(cols)
-        slots = np.searchsorted(self._keys, keys)
-        if np.any(slots >= len(self._keys)) or np.any(self._keys[slots] != keys):
-            raise ValueError("entry outside the operator pattern")
-        return slots
 
 
 def theta_thermal(mu):

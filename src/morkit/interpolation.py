@@ -39,27 +39,21 @@ class EimBasis:
 
 @dataclass
 class DeimBasis:
-    """Orthonormal interpolation modes with greedily selected sample indices."""
+    """Orthonormal interpolation modes with greedily selected sample indices.
+
+    An operator basis from :func:`mdeim_build` has a CSR ``pattern``; its
+    basis rows and magic indices are that pattern's slots.
+    """
 
     basis: np.ndarray
     magic_indices: list
     singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
     error_history: list = field(default_factory=list)
-    # operator bases: the matrix shape, and the column-major flat index
-    # (row + n_rows * col) of the entry each basis row holds
-    matrix_shape: tuple = None
-    pattern: np.ndarray = None
+    pattern: sp.csr_matrix = None
 
     @property
     def size(self):
         return self.basis.shape[1]
-
-    def magic_entries(self):
-        """Magic indices mapped back to (row, col) operator entries."""
-        if self.matrix_shape is None:
-            raise ValueError("not an operator basis")
-        n_rows = self.matrix_shape[0]
-        return [(int(f % n_rows), int(f // n_rows)) for f in self.pattern[self.magic_indices]]
 
 
 def _eim_residual(f, basis, indices):
@@ -84,6 +78,8 @@ def eim_build(samples, tol=1e-12, n_max=None):
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be at least 1")
     f = linalg.check_matrix(samples, "sample matrix")
     m, n_cols = f.shape
     residual = f
@@ -160,6 +156,8 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
     stopping error is the relative Frobenius reconstruction error of the
     snapshot matrix from its currently sampled rows.
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be at least 1")
     s = linalg.check_matrix(snapshots, "snapshot matrix")
     if np.abs(s).max() == 0.0:
         raise ValueError("snapshot matrix is identically zero")
@@ -217,54 +215,38 @@ def deim_coefficients(basis, sampled_values):
     return np.linalg.solve(pth, v)
 
 
-def mdeim_build(operator_snapshots, tol=1e-10, n_max=None):
-    """Matrix DEIM on the union nonzero pattern of the operator snapshots.
+def _on_pattern(pattern, operator):
+    """``operator`` in CSR; ValueError unless it has ``pattern``'s slots."""
+    a = sp.csr_matrix(operator, dtype=float)
+    if (a.shape != pattern.shape or not np.array_equal(a.indptr, pattern.indptr)
+            or not np.array_equal(a.indices, pattern.indices)):
+        raise ValueError("operator is not on the basis pattern")
+    return a
 
-    Each snapshot, sparse or dense, contributes its nonzero entries. The
-    union pattern is kept in column-major order, the order of the vectorized
-    matrix, so the greedy argmax breaks ties as it would on the full vector.
-    The builder runs on the nnz x snapshots matrix: the basis rows are the
-    pattern entries and ``magic_indices`` index those rows.
+
+def mdeim_build(operator_snapshots, tol=1e-10, n_max=None):
+    """Matrix DEIM on the CSR slots that all operator snapshots share.
+
+    Each snapshot, sparse or dense, is taken in CSR; all must share one
+    shape, ``indptr`` and ``indices`` (ValueError otherwise). DEIM runs on
+    the nnz x snapshots matrix of their ``data``, so the basis rows and
+    ``magic_indices`` are slots of ``pattern``, the first snapshot.
     """
-    mats = []
-    for a in operator_snapshots:
-        a = sp.csc_matrix(a, dtype=float, copy=True)
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        if mats and a.shape != mats[0].shape:
-            raise ValueError("operator snapshots must share one shape")
-        mats.append(a)
-    n_rows = mats[0].shape[0]
-    keys = [a.indices + n_rows * np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-            for a in mats]
-    pattern = np.unique(np.concatenate(keys))
-    stacked = np.zeros((len(pattern), len(mats)))
-    for k, (key, a) in enumerate(zip(keys, mats)):
-        stacked[np.searchsorted(pattern, key), k] = a.data
+    mats = [sp.csr_matrix(a, dtype=float) for a in operator_snapshots]
+    if not mats:
+        raise ValueError("no operator snapshots")
+    stacked = np.column_stack([_on_pattern(mats[0], a).data for a in mats])
     basis = deim_build(stacked, tol=tol, n_max=n_max)
-    basis.matrix_shape = mats[0].shape
-    basis.pattern = pattern
+    basis.pattern = mats[0]
     return basis
 
 
 def mdeim_reconstruct(basis, operator):
-    """Reconstruct an operator, sparse on the basis pattern, from its magic entries."""
-    rows, cols = np.array(basis.magic_entries()).T
-    if not sp.issparse(operator):
-        operator = np.asarray(operator, dtype=float)
-    sampled = np.asarray(operator[rows, cols], dtype=float).ravel()
+    """The operator on the basis pattern, from its values at the magic slots."""
+    p = basis.pattern
+    sampled = _on_pattern(p, operator).data[basis.magic_indices]
     values = basis.basis @ deim_coefficients(basis, sampled)
-    cols, rows = np.divmod(basis.pattern, basis.matrix_shape[0])
-    return sp.csr_matrix((values, (rows, cols)), shape=basis.matrix_shape)
-
-
-def _modes_on_slots(problem, basis):
-    """The basis modes on the problem's pattern slots, and the magic slots."""
-    cols, rows = np.divmod(basis.pattern, basis.matrix_shape[0])
-    slots = problem.pattern.entry_slots(rows, cols)
-    modes = np.zeros((len(problem.mass.data), basis.size))
-    modes[slots] = basis.basis
-    return modes, slots[basis.magic_indices]
+    return sp.csr_matrix((values, p.indices, p.indptr), shape=p.shape)
 
 
 def reduced_mesh(problem, magic_slots):
@@ -282,29 +264,30 @@ def reduced_mesh(problem, magic_slots):
 def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
     """Hyper-reduced quasi-Newton solve with both operators interpolated.
 
-    ``problem`` is a :class:`~morkit.fom.NonlinearFom`. The operators are
-    never assembled: their coefficients are evaluated only on the reduced
-    mesh, the elements that touch a magic entry, and the magic entries are
+    ``problem`` is a :class:`~morkit.fom.NonlinearFom`; both bases must lie on
+    its operators' pattern (ValueError otherwise). The operators are never
+    assembled: their coefficients are evaluated only on the reduced mesh, the
+    elements that touch a magic slot, and the magic values are
     ``stiffness_scatter[magic] @ coef`` there. A(mu) is interpolated once per
-    solve; each iteration updates the data of the operator on its fixed
-    sparse pattern and does one sparse LU. The state keeps full dimension.
-    The Jacobian drops the derivative of the solution-dependent
-    coefficients, so the iteration is quasi-Newton. Raises
-    :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not reach
-    ``tol``.
+    solve; each iteration sets the operator's data from the modes and does
+    one sparse LU. The state keeps full dimension. The Jacobian drops the
+    derivative of the solution-dependent coefficients, so the iteration is
+    quasi-Newton. Raises :class:`~morkit.fom.NewtonError` if ``max_iter``
+    steps do not reach ``tol``.
     """
-    a_modes, a_slots = _modes_on_slots(problem, a_basis)
-    c_modes, c_slots = _modes_on_slots(problem, c_basis)
-    mesh, g = reduced_mesh(problem, np.concatenate([a_slots, c_slots]))
+    for basis in (a_basis, c_basis):
+        _on_pattern(basis.pattern, problem.mass)
+    mesh, g = reduced_mesh(problem, np.concatenate([a_basis.magic_indices,
+                                                    c_basis.magic_indices]))
     g_a, g_c = g[:a_basis.size], g[a_basis.size:]
     a_values = g_a @ problem.diffusion_coefficients(mu, mesh)
-    fixed = problem.mass.data + a_modes @ deim_coefficients(a_basis, a_values)
+    fixed = problem.mass.data + a_basis.basis @ deim_coefficients(a_basis, a_values)
     op = problem.pattern.on_pattern(np.empty_like(fixed))  # data set by each iteration
     f = np.asarray(problem.forcing, dtype=float)
     u = np.zeros(f.shape[0])
     for it in range(max_iter + 1):
         c_values = g_c @ problem.convection_coefficients(u, mesh)
-        op.data[:] = fixed + c_modes @ deim_coefficients(c_basis, c_values)
+        op.data[:] = fixed + c_basis.basis @ deim_coefficients(c_basis, c_values)
         r = op @ u - f
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol:

@@ -102,6 +102,8 @@ def greedy(system, training_set, tol, mu1, n_max, estimator):
     """
     if len(training_set) == 0:
         raise ValueError("training set must be nonempty")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     training = np.stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in training_set])
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     gram = system.gram

@@ -212,6 +212,11 @@ class TestDemoCommands:
         ("asub-demo", {"grid": 8}),  # an option asub-demo does not read
         ("thermal-block", {"seed": 1}),
         ("eim-demo", {"grid": "eight"}),  # a value that is not an int
+        # counts below 1
+        ("deim-demo", {"train-size": 0}),
+        ("eim-demo", {"n-max": -3}),
+        ("thermal-block", {"n-max": 0}),
+        ("deim-demo", {"grid": 0}),
     ])
     def test_bad_config_key_or_value_exit_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "config.json"
@@ -219,6 +224,13 @@ class TestDemoCommands:
         out = tmp_path / "out"
         assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "config.json:1:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_count_flag_below_one_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            _run(["deim-demo", "--train-size", "0", "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
 

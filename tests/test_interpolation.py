@@ -28,12 +28,14 @@ def _dense_quasi_newton(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
     Returns the solution and the number of steps it took.
     """
     def reconstruct(basis, operator):
-        rows, cols = np.array(basis.magic_entries()).T
-        coeff = np.linalg.solve(basis.basis[basis.magic_indices],
-                                operator.toarray()[rows, cols])
-        full = np.zeros(basis.matrix_shape[0] * basis.matrix_shape[1])
-        full[basis.pattern] = basis.basis @ coeff
-        return full.reshape(basis.matrix_shape, order="F")
+        p = basis.pattern
+        rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+        magic = basis.magic_indices
+        coeff = np.linalg.solve(basis.basis[magic],
+                                operator.toarray()[rows[magic], p.indices[magic]])
+        full = np.zeros(p.shape)
+        full[rows, p.indices] = basis.basis @ coeff
+        return full
 
     mass = problem.mass.toarray()
     u = np.zeros(problem.dof_count)
@@ -56,6 +58,26 @@ def _operator_bases(problem, q, mus):
         c_snaps.append(c)
     return (interpolation.mdeim_build(a_snaps, tol=0.0, n_max=q),
             interpolation.mdeim_build(c_snaps, tol=0.0, n_max=q))
+
+
+def _union_pattern_reference(operator_snapshots, tol=1e-10, n_max=None):
+    """MDEIM on the column-major union pattern of the snapshots' nonzeros.
+
+    The layout ``mdeim_build`` used before it ran on the shared CSR slots.
+    Returns the DEIM basis of the nnz x snapshots matrix in that layout.
+    """
+    mats = [sp.csc_matrix(a, dtype=float, copy=True) for a in operator_snapshots]
+    for a in mats:
+        a.sum_duplicates()
+        a.eliminate_zeros()
+    n_rows = mats[0].shape[0]
+    keys = [a.indices + n_rows * np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+            for a in mats]
+    pattern = np.unique(np.concatenate(keys))
+    stacked = np.zeros((len(pattern), len(mats)))
+    for k, (key, a) in enumerate(zip(keys, mats)):
+        stacked[np.searchsorted(pattern, key), k] = a.data
+    return interpolation.deim_build(stacked, tol=tol, n_max=n_max)
 
 
 def _eim_two_pass_reference(f, tol, n_max):
@@ -346,16 +368,24 @@ class TestMdeim:
         rec = interpolation.mdeim_reconstruct(basis, target)
         assert np.abs(rec - target).max() < 1e-12 * np.abs(target).max()
 
-    def test_magic_entries_map_back_consistently(self):
-        rng = np.random.default_rng(51)
-        snaps = [rng.standard_normal((5, 4)) for _ in range(3)]
-        basis = interpolation.mdeim_build(snaps, tol=1e-14)
-        for flat, (i, j) in zip(basis.magic_indices, basis.magic_entries()):
-            assert flat == i + 5 * j
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             interpolation.mdeim_build([np.eye(3), np.eye(4)])
+
+    def test_pattern_mismatch_rejected(self):
+        # one shape, but the second snapshot stores an entry the first does not
+        with pytest.raises(ValueError, match="pattern"):
+            interpolation.mdeim_build([sp.eye(3), sp.eye(3) + sp.eye(3, k=1)])
+
+    def test_reconstruct_off_pattern_rejected(self, nonlinear_problem):
+        snaps = [nonlinear_problem.diffusion_matrix(mu)
+                 for mu in nonlinear_problem.domain.sample(4, 53)]
+        basis = interpolation.mdeim_build(snaps, tol=1e-14)
+        off = snaps[0].copy()
+        off.data[0] = 0.0
+        off.eliminate_zeros()  # one slot fewer
+        with pytest.raises(ValueError, match="pattern"):
+            interpolation.mdeim_reconstruct(basis, off)
 
     def test_training_operator_reconstruction(self, nonlinear_problem):
         problem = nonlinear_problem
@@ -379,17 +409,33 @@ class TestMdeimPattern:
         problem = fine_problem
         snaps = [problem.diffusion_matrix(mu) for mu in problem.domain.sample(4, 57)]
         basis = interpolation.mdeim_build(snaps, tol=1e-14)
-        assert basis.basis.shape[0] == len(basis.pattern) == snaps[0].nnz
+        assert basis.basis.shape[0] == basis.pattern.nnz == snaps[0].nnz
+        assert np.array_equal(basis.pattern.indptr, problem.mass.indptr)
+        assert np.array_equal(basis.pattern.indices, problem.mass.indices)
         # a generator densifies one snapshot at a time
         dense = interpolation.mdeim_build((a.toarray() for a in snaps), tol=1e-14)
-        assert dense.magic_entries() == basis.magic_entries()
-        assert np.array_equal(dense.pattern, basis.pattern)
+        assert dense.magic_indices == basis.magic_indices
+        assert np.array_equal(dense.pattern.indptr, basis.pattern.indptr)
+        assert np.array_equal(dense.pattern.indices, basis.pattern.indices)
 
-    def test_explicit_zeros_left_out(self):
-        a = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-        a.data[1] = 0.0  # stored entry (1, 0) is now an explicit zero
-        basis = interpolation.mdeim_build([a, 2.0 * a], tol=1e-14)
-        assert basis.pattern.tolist() == [0, 3]  # column-major (0, 0), (1, 1)
+    @pytest.mark.parametrize("n", [6, 10, 16])
+    def test_basis_matches_union_pattern_reference(self, n):
+        # the operators are bitwise symmetric on a symmetric pattern, so
+        # listing their values in CSR order equals the column-major listing
+        problem = fom.NonlinearFom(n=n)
+        a_snaps, c_snaps = [], []
+        for mu in problem.domain.sample(12, 59):
+            a, c = problem.operator_snapshot(fom.nonlinear_solve(problem, mu), mu)
+            a_snaps.append(a)
+            c_snaps.append(c)
+        for snaps in (a_snaps, c_snaps):
+            for tol, n_max in ((1e-10, None), (0.0, 6)):
+                basis = interpolation.mdeim_build(snaps, tol=tol, n_max=n_max)
+                ref = _union_pattern_reference(snaps, tol=tol, n_max=n_max)
+                assert np.array_equal(basis.basis, ref.basis)
+                assert basis.magic_indices == ref.magic_indices
+                assert basis.error_history == ref.error_history
+                assert np.array_equal(basis.singular_values, ref.singular_values)
 
     @pytest.mark.parametrize("n", [24, 48])
     def test_reduced_mesh_bounded_by_magic_entries(self, n, fine_problem, monkeypatch):
@@ -449,12 +495,32 @@ class TestOperatorNewton:
             interpolation.mdeim_nonlinear_solve(problem, ab, cb, np.array(mu),
                                                 max_iter=steps - 1)
 
+    def test_bases_of_another_grid_rejected(self, nonlinear_problem):
+        ab, cb = _operator_bases(fom.NonlinearFom(n=6), 4,
+                                 nonlinear_problem.domain.sample(6, 60))
+        with pytest.raises(ValueError, match="pattern"):
+            interpolation.mdeim_nonlinear_solve(nonlinear_problem, ab, cb,
+                                                np.array([0.05, -0.15]))
+
     def test_stall_raises_newton_error(self, nonlinear_problem, operator_bases):
         ab, cb = operator_bases
         with pytest.raises(fom.NewtonError) as err:
             interpolation.mdeim_nonlinear_solve(nonlinear_problem, ab, cb,
                                                 np.array([0.05, -0.15]), max_iter=1)
         assert err.value.residual_norm > 0.0
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: interpolation.eim_build(np.eye(4), n_max=0), "n_max"),
+    (lambda: interpolation.eim_build(np.eye(4), n_max=-3), "n_max"),
+    (lambda: interpolation.deim_build(np.eye(4), n_max=0), "n_max"),
+    (lambda: interpolation.mdeim_build([]), "snapshots"),
+    (lambda: rb.greedy(fom.assemble_thermal_block(n=4), [np.array([0.5])], tol=1e-6,
+                       mu1=np.array([0.5]), n_max=0, estimator=None), "n_max"),
+], ids=["eim-0", "eim-negative", "deim-0", "mdeim-empty", "greedy-0"])
+def test_builders_reject_empty_size(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 class TestExport:
