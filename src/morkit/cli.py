@@ -60,14 +60,38 @@ def positive_int(text):
     return value
 
 
+def grid_size(text):
+    """The type of ``--grid``: the problem builders need at least 3 cells."""
+    value = int(text)
+    if value < 3:
+        raise ValueError(f"must be at least 3, got {value}")
+    return value
+
+
+def even_grid_size(text):
+    """thermal-block's ``--grid``: even, so the interface lies on a grid line."""
+    value = grid_size(text)
+    if value % 2:
+        raise ValueError(f"must be even, got {value}")
+    return value
+
+
+# the type and help of each option, by name or by (command, name) where a
+# command narrows it
 _OPTION_TYPES = {
-    "grid": (positive_int, "full-order grid resolution per direction"),
+    "grid": (grid_size, "full-order grid resolution per direction"),
+    ("thermal-block", "grid"): (even_grid_size,
+                                "full-order grid resolution per direction, even"),
     "train-size": (positive_int, "training sample count"),
     "tol": (float, "stopping tolerance"),
     "n-max": (positive_int, "maximum basis size"),
     "seed": (int, "random seed"),
     "out": (str, "output directory or file"),
 }
+
+
+def _option_type(command, key):
+    return _OPTION_TYPES.get((command, key)) or _OPTION_TYPES[key]
 
 
 def _resolve_options(args):
@@ -85,7 +109,7 @@ def _resolve_options(args):
         value = default
         if key in cfg:
             try:
-                value = _OPTION_TYPES[key][0](cfg[key])
+                value = _option_type(args.command, key)[0](cfg[key])
             except (TypeError, ValueError) as exc:
                 raise _DescriptorError(args.config, 1, f"{key}: {exc}")
         setattr(args, attr, value)
@@ -290,7 +314,7 @@ def _run_rom(args):
 def _add_options(p, command):
     """The subcommand's options from ``_OPTIONS``, plus ``--config``."""
     for key, default in _OPTIONS[command].items():
-        kind, text = _OPTION_TYPES[key]
+        kind, text = _option_type(command, key)
         if default is not None:
             text = f"{text} (default {default})"
         p.add_argument(f"--{key}", type=kind, default=None, help=text)

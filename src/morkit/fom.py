@@ -467,8 +467,6 @@ class NonlinearFom:
         h = 1.0 / n
         interior_mask = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
         self.interior = np.flatnonzero(interior_mask)
-        self.all_nodes = nodes
-        self.nodes = nodes[self.interior]
         self.conn = conn
         self.centers = nodes[conn].mean(axis=1)
         self.domain = ParamDomain([-0.5, -0.5], [0.5, 0.5])
@@ -530,26 +528,33 @@ class NonlinearFom:
         return self.pattern.on_pattern(data)
 
 
-def nonlinear_solve(fom, mu, tol=1e-9, max_iter=50):
-    """Newton iteration for the nonlinear diffusion problem, started at zero."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = np.zeros(fom.dof_count)
-    resid_norm = np.inf
-    for _ in range(max_iter):
-        r = fom.residual(u, mu)
-        resid_norm = float(np.linalg.norm(r))
-        if resid_norm <= tol:
+def newton(residual, jacobian, u, tol, max_iter):
+    """Newton iteration from ``u``, shared by the truth and hyper-reduced solves.
+
+    Returns the first iterate with ``||residual(u)|| <= tol``, after at most
+    ``max_iter`` sparse-LU steps. ``jacobian`` is called only for a step, at
+    the iterate of the last ``residual`` call. Raises :class:`NewtonError`
+    with the last residual norm if no iterate reaches ``tol``.
+    """
+    for step in range(max(max_iter, 0) + 1):
+        r = residual(u)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol:
             return u
-        u = u - spla.spsolve(fom.jacobian(u, mu), r, permc_spec="MMD_AT_PLUS_A")
-    r = fom.residual(u, mu)
-    resid_norm = float(np.linalg.norm(r))
-    if resid_norm <= tol:
-        return u
+        if step < max_iter:
+            u = u - spla.spsolve(jacobian(u), r, permc_spec="MMD_AT_PLUS_A")
     raise NewtonError(
         f"Newton did not converge in {max_iter} iterations "
-        f"(last residual {resid_norm:.3e})",
-        resid_norm,
+        f"(last residual {r_norm:.3e})",
+        r_norm,
     )
+
+
+def nonlinear_solve(fom, mu, tol=1e-9, max_iter=50):
+    """:func:`newton` for the nonlinear diffusion problem, started at zero."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    return newton(lambda u: fom.residual(u, mu), lambda u: fom.jacobian(u, mu),
+                  np.zeros(fom.dof_count), tol, max_iter)
 
 
 def write_csv(path, header, rows):

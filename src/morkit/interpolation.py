@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import linalg
-from .fom import NewtonError
+from .fom import newton
 
 
 @dataclass
@@ -72,9 +71,9 @@ def eim_build(samples, tol=1e-12, n_max=None):
     sup-norm interpolation residual, the magic index maximizes the
     pointwise residual of that column, and the normalized residual column
     is appended. The recorded error history uses the up-to-date interpolant
-    after each append, so it is non-increasing and the stopping test
-    reflects the current basis. Each step makes one pass over the new
-    residual: its column sup norms give both the error and the next column.
+    after each append, so the stopping test reflects the current basis. It
+    need not decrease: the interpolant is not a best approximation. One pass
+    over each new residual's column sup norms gives the error and next column.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -269,11 +268,12 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     assembled: their coefficients are evaluated only on the reduced mesh, the
     elements that touch a magic slot, and the magic values are
     ``stiffness_scatter[magic] @ coef`` there. A(mu) is interpolated once per
-    solve; each iteration sets the operator's data from the modes and does
-    one sparse LU. The state keeps full dimension. The Jacobian drops the
-    derivative of the solution-dependent coefficients, so the iteration is
-    quasi-Newton. Raises :class:`~morkit.fom.NewtonError` if ``max_iter``
-    steps do not reach ``tol``.
+    solve; each residual sets the operator's data from the modes, and the
+    truth solve's loop, :func:`~morkit.fom.newton`, steps with that operator.
+    The state keeps full dimension. The Jacobian drops the derivative of the
+    solution-dependent coefficients, so the iteration is quasi-Newton. Raises
+    :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not reach
+    ``tol``.
     """
     for basis in (a_basis, c_basis):
         _on_pattern(basis.pattern, problem.mass)
@@ -282,23 +282,15 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     g_a, g_c = g[:a_basis.size], g[a_basis.size:]
     a_values = g_a @ problem.diffusion_coefficients(mu, mesh)
     fixed = problem.mass.data + a_basis.basis @ deim_coefficients(a_basis, a_values)
-    op = problem.pattern.on_pattern(np.empty_like(fixed))  # data set by each iteration
+    op = problem.pattern.on_pattern(np.empty_like(fixed))  # data set by each residual
     f = np.asarray(problem.forcing, dtype=float)
-    u = np.zeros(f.shape[0])
-    for it in range(max_iter + 1):
+
+    def residual(u):
         c_values = g_c @ problem.convection_coefficients(u, mesh)
         op.data[:] = fixed + c_basis.basis @ deim_coefficients(c_basis, c_values)
-        r = op @ u - f
-        r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol:
-            return u
-        if it < max_iter:
-            u = u - spla.spsolve(op, r, permc_spec="MMD_AT_PLUS_A")
-    raise NewtonError(
-        f"operator-interpolated iteration stalled after {max_iter} iterations "
-        f"at residual {r_norm:.3e}",
-        r_norm,
-    )
+        return op @ u - f
+
+    return newton(residual, lambda u: op, np.zeros(f.shape[0]), tol, max_iter)
 
 
 def export_eim_basis(basis, directory, points=None):

@@ -5,10 +5,10 @@ set) from the parameter-dependent control data, and deform arbitrary point
 clouds in 2-d or 3-d.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 
 class MorphBuildError(ValueError):
@@ -62,8 +62,9 @@ class FfdLattice:
 def _bernstein_weights(t, degree):
     """All Bernstein polynomials of the given degree at points t (1-d array)."""
     k = np.arange(degree + 1)
+    binomial = np.array([math.comb(degree, j) for j in range(degree + 1)], dtype=float)
     t = t[:, None]
-    return comb(degree, k) * t ** k * (1.0 - t) ** (degree - k)
+    return binomial * t ** k * (1.0 - t) ** (degree - k)
 
 
 def ffd_weights(lattice, points):

@@ -217,6 +217,11 @@ class TestDemoCommands:
         ("eim-demo", {"n-max": -3}),
         ("thermal-block", {"n-max": 0}),
         ("deim-demo", {"grid": 0}),
+        # grids the problem builders reject
+        ("thermal-block", {"grid": 3}),
+        ("thermal-block", {"grid": 2}),
+        ("eim-demo", {"grid": 2}),
+        ("deim-demo", {"grid": 2, "train-size": 2}),
     ])
     def test_bad_config_key_or_value_exit_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "config.json"
@@ -230,6 +235,19 @@ class TestDemoCommands:
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             _run(["deim-demo", "--train-size", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "thermal-block --grid 3",  # odd: the interface must lie on a grid line
+        "thermal-block --grid 2",
+        "eim-demo --grid 2",
+        "deim-demo --grid 2 --train-size 2",
+    ])
+    def test_grid_the_builder_rejects_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            _run(argv.split() + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 

@@ -40,6 +40,23 @@ def _coo_reference(conn, keep, local):
     return sp.csr_matrix(full[np.ix_(kept, kept)])
 
 
+def _newton_loop_reference(problem, mu, tol=1e-9, max_iter=50):
+    """The loop ``nonlinear_solve`` ran before it called ``fom.newton``.
+
+    Returns the solution and the number of steps it took.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    u = np.zeros(problem.dof_count)
+    for step in range(max_iter):
+        r = problem.residual(u, mu)
+        if float(np.linalg.norm(r)) <= tol:
+            return u, step
+        u = u - spla.spsolve(problem.jacobian(u, mu), r, permc_spec="MMD_AT_PLUS_A")
+    if float(np.linalg.norm(problem.residual(u, mu))) <= tol:
+        return u, max_iter
+    raise AssertionError("reference Newton did not converge")
+
+
 def _assert_bitwise(actual, expected):
     assert actual.format == "csr" and actual.shape == expected.shape
     assert np.array_equal(actual.indptr, expected.indptr)
@@ -345,7 +362,7 @@ class TestPatternMatchesCooReference:
     def test_nonlinear_mass_stiffness_and_forcing(self, n):
         problem = fom.NonlinearFom(n=n)
         conn = problem.conn
-        interior = np.zeros(len(problem.all_nodes), dtype=bool)
+        interior = np.zeros((n + 1) ** 2, dtype=bool)
         interior[problem.interior] = True
         h = 1.0 / n
         local_mass = np.broadcast_to(h * h * fom._M_REF, (len(conn), 4, 4))
@@ -398,9 +415,72 @@ class TestNonlinearFom:
         assert np.linalg.norm(r) <= 1e-9
 
     def test_newton_failure_raises_with_residual(self, nonlinear_problem):
+        # no step: the residual at u = 0 is -f
         with pytest.raises(fom.NewtonError) as err:
             fom.nonlinear_solve(nonlinear_problem, [0.1, 0.2], max_iter=0)
-        assert err.value.residual_norm > 0.0
+        assert err.value.residual_norm == np.linalg.norm(nonlinear_problem.forcing)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_newton_matches_parent_loop_bitwise(self, n):
+        problem = fom.NonlinearFom(n=n)
+        for mu in problem.domain.sample(4, 70 + n):
+            ref, _ = _newton_loop_reference(problem, mu)
+            assert np.array_equal(fom.nonlinear_solve(problem, mu), ref)
+
+    def test_one_jacobian_per_step(self, nonlinear_problem, monkeypatch):
+        problem = nonlinear_problem
+        calls = []
+
+        def counted(u, mu, original=problem.jacobian):
+            calls.append(u)
+            return original(u, mu)
+
+        for mu in problem.domain.sample(3, 71):
+            _, steps = _newton_loop_reference(problem, mu)
+            assert steps >= 2
+            calls.clear()
+            monkeypatch.setattr(problem, "jacobian", counted)
+            fom.nonlinear_solve(problem, mu)
+            monkeypatch.undo()
+            assert len(calls) == steps
+
+
+class TestNewtonLoop:
+    def test_jacobian_at_the_iterate_of_the_last_residual(self):
+        b = np.array([1.0, 2.0, 3.0])
+        seen = []
+
+        def residual(u):
+            seen.append(("residual", u))
+            return u + u ** 3 - b
+
+        def jacobian(u):
+            seen.append(("jacobian", u))
+            return sp.diags(1.0 + 3.0 * u ** 2, format="csc")
+
+        u = fom.newton(residual, jacobian, np.zeros(3), 1e-12, 50)
+        assert np.linalg.norm(u + u ** 3 - b) <= 1e-12
+        steps = len(seen) // 2
+        assert steps >= 2
+        assert [kind for kind, _ in seen] == ["residual", "jacobian"] * steps + ["residual"]
+        for (_, at_residual), (_, at_jacobian) in zip(seen[::2], seen[1::2]):
+            assert at_jacobian is at_residual
+
+    @pytest.mark.parametrize("max_iter", [-1, 0, 1, 2])
+    def test_too_few_steps_raise_with_the_last_residual(self, max_iter):
+        b = np.array([1.0, 2.0, 3.0])
+        norms = []
+
+        def residual(u):
+            r = u + u ** 3 - b
+            norms.append(float(np.linalg.norm(r)))
+            return r
+
+        with pytest.raises(fom.NewtonError, match=f"in {max_iter} iterations") as err:
+            fom.newton(residual, lambda u: sp.diags(1.0 + 3.0 * u ** 2, format="csc"),
+                       np.zeros(3), 1e-12, max_iter)
+        assert len(norms) == max(max_iter, 0) + 1  # a negative count takes no step
+        assert err.value.residual_norm == norms[-1]
 
 
 class TestCsvExport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from morkit import fom, interpolation, rb
 
@@ -46,6 +47,29 @@ def _dense_quasi_newton(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
         if np.linalg.norm(r) <= tol:
             return u, it
         u = u - np.linalg.solve(op, r)
+    raise AssertionError("reference iteration stalled")
+
+
+def _mdeim_loop_reference(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
+    """The loop ``mdeim_nonlinear_solve`` ran before it called ``fom.newton``."""
+    mesh, g = interpolation.reduced_mesh(
+        problem, np.concatenate([a_basis.magic_indices, c_basis.magic_indices]))
+    g_a, g_c = g[:a_basis.size], g[a_basis.size:]
+    a_values = g_a @ problem.diffusion_coefficients(mu, mesh)
+    fixed = problem.mass.data + a_basis.basis @ interpolation.deim_coefficients(
+        a_basis, a_values)
+    op = problem.pattern.on_pattern(np.empty_like(fixed))
+    f = np.asarray(problem.forcing, dtype=float)
+    u = np.zeros(f.shape[0])
+    for it in range(max_iter + 1):
+        c_values = g_c @ problem.convection_coefficients(u, mesh)
+        op.data[:] = fixed + c_basis.basis @ interpolation.deim_coefficients(
+            c_basis, c_values)
+        r = op @ u - f
+        if float(np.linalg.norm(r)) <= tol:
+            return u
+        if it < max_iter:
+            u = u - spla.spsolve(op, r, permc_spec="MMD_AT_PLUS_A")
     raise AssertionError("reference iteration stalled")
 
 
@@ -508,6 +532,23 @@ class TestOperatorNewton:
             interpolation.mdeim_nonlinear_solve(nonlinear_problem, ab, cb,
                                                 np.array([0.05, -0.15]), max_iter=1)
         assert err.value.residual_norm > 0.0
+
+    def test_no_step_reports_the_forcing_norm(self, nonlinear_problem, operator_bases):
+        # the residual at u = 0 is -f, as in the truth solve
+        ab, cb = operator_bases
+        with pytest.raises(fom.NewtonError) as err:
+            interpolation.mdeim_nonlinear_solve(nonlinear_problem, ab, cb,
+                                                np.array([0.05, -0.15]), max_iter=0)
+        assert err.value.residual_norm == np.linalg.norm(nonlinear_problem.forcing)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_matches_parent_loop_bitwise(self, n):
+        problem = fom.NonlinearFom(n=n)
+        ab, cb = _operator_bases(problem, 6, problem.domain.sample(10, 80 + n))
+        for mu in problem.domain.sample(4, 90 + n):
+            ref = _mdeim_loop_reference(problem, ab, cb, mu)
+            u = interpolation.mdeim_nonlinear_solve(problem, ab, cb, mu)
+            assert np.array_equal(u, ref)
 
 
 @pytest.mark.parametrize("build, match", [

@@ -1,5 +1,8 @@
 """Geometry morphs: Bernstein lattice, RBF system, Shepard weights."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,6 +97,26 @@ class TestFfd:
         weights, inside = morphing.ffd_weights(lattice, np.array([[x, y]]))
         assert inside[0]
         assert abs(weights[0].sum() - 1.0) < 1e-12
+
+    def test_bernstein_weights_match_scipy_comb(self):
+        # math.comb is exact; scipy.special.comb's floats equal its rounding
+        # up to degree 30
+        t = np.linspace(0.0, 1.0, 101)[:, None]
+        for degree in range(31):
+            k = np.arange(degree + 1)
+            ref = comb(degree, k) * t ** k * (1.0 - t) ** (degree - k)
+            assert np.array_equal(morphing._bernstein_weights(t[:, 0], degree), ref)
+
+
+def test_import_loads_no_scipy_special():
+    # the Bernstein coefficients were morkit's only use of scipy.special
+    src = os.path.dirname(os.path.dirname(morphing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, morkit, morkit.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestRbfKernels:
