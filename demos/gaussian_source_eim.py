@@ -12,10 +12,9 @@ from morkit import fom, interpolation
 
 
 def main():
-    system, forcing = fom.assemble_gaussian_poisson(n=24)
-    points = system.meta["all_nodes"]
+    system, points, _ = fom.assemble_gaussian_poisson(n=24)
     train = system.domain.sample(100, 42)
-    values = np.column_stack([forcing(points, mu) for mu in train])
+    values = np.column_stack([fom.gaussian_forcing(points, mu) for mu in train])
 
     basis = interpolation.eim_build(values, tol=1e-10, n_max=15)
     print("EIM greedy history (q, sup-norm error over training set):")
@@ -26,7 +25,7 @@ def main():
     test = system.domain.sample(5, 7)
     print("\nheld-out source interpolation (relative sup-norm error):")
     for mu in test:
-        g = forcing(points, mu)
+        g = fom.gaussian_forcing(points, mu)
         approx = interpolation.eim_interpolate(basis, g[basis.magic_indices])
         err = np.abs(approx - g).max() / np.abs(g).max()
         print(f"  mu = ({mu[0]: .3f}, {mu[1]: .3f})  error = {err:.2e}")

@@ -169,15 +169,14 @@ def _run_thermal_block(args):
 
 def _run_eim_demo(args):
     os.makedirs(args.out, exist_ok=True)
-    system, forcing = fom.assemble_gaussian_poisson(n=args.grid)
-    points = system.meta["all_nodes"]
+    system, points, load_map = fom.assemble_gaussian_poisson(n=args.grid)
     params = system.domain.sample(args.train_size, args.seed)
-    values = np.column_stack([forcing(points, mu) for mu in params])
+    values = np.column_stack([fom.gaussian_forcing(points, mu) for mu in params])
     basis = interpolation.eim_build(values, tol=args.tol, n_max=args.n_max)
 
     fom.write_csv(os.path.join(args.out, "eim_history.csv"), "q,epsilon",
                   [(q + 1, e) for q, e in enumerate(basis.error_history)])
-    interpolation.export_eim_basis(basis, args.out, points=points)
+    interpolation.export_eim_basis(basis, args.out, points)
 
     # full-size solves with the EIM-interpolated load against those with the
     # exact load; the stiffness is one term of weight 1, so one LU serves all
@@ -192,10 +191,10 @@ def _run_eim_demo(args):
     )
     rows = []
     for mu in test_params:
-        exact = solve(fom.gaussian_poisson_load(system, forcing(points, mu)))
-        g_at_magic = forcing(points[sub.magic_indices], mu)
+        exact = solve(load_map @ fom.gaussian_forcing(points, mu))
+        g_at_magic = fom.gaussian_forcing(points[sub.magic_indices], mu)
         g_interp = interpolation.eim_interpolate(sub, g_at_magic)
-        u = solve(fom.gaussian_poisson_load(system, g_interp))
+        u = solve(load_map @ g_interp)
         err = system.gram_norm(u - exact)
         rows.append((float(mu[0]), float(mu[1]), err))
     fom.write_csv(os.path.join(args.out, "interp_solve_error.csv"), "mu_1,mu_2,error",
@@ -298,8 +297,12 @@ def _run_rom(args):
         )
         return 0
     # solve
-    mu = np.array([float(v) for v in args.mu])
-    u_n, s_n = rb.rom_solve(romsys, mu)
+    mu = np.array(args.mu)
+    try:
+        u_n, s_n = rb.rom_solve(romsys, mu)
+    except ValueError as exc:
+        print(f"error: --mu: {exc}", file=sys.stderr)
+        return 2
     print(f"s_N({mu.tolist()}) = {s_n:.17g}")
     if args.out:
         fom.write_csv(args.out, "index,coefficient",
@@ -363,7 +366,7 @@ def build_parser():
                                    "thermal-block saved")
     p.add_argument("action", choices=("load", "solve"))
     p.add_argument("model_dir", help="model directory")
-    p.add_argument("--mu", nargs="+", default=None,
+    p.add_argument("--mu", nargs="+", type=float, default=None,
                    help="parameter point (solve)")
     _add_options(p, "rom")
     p.set_defaults(func=_run_rom)

@@ -3,7 +3,8 @@
 Provides the generic affine-system container plus three concrete problems:
 a two-material heat-conduction block with a moving interface, a Poisson
 problem with a parametrized Gaussian forcing, and a small nonlinear
-diffusion problem used by the operator hyper-reduction demo.
+diffusion problem used by the operator hyper-reduction demo. The non-affine
+Gaussian source becomes a load through a matrix on its values at grid points.
 
 Discretization is bilinear quadrilateral finite elements on a uniform grid,
 with symmetric elimination of Dirichlet rows/columns so assembled operators
@@ -11,7 +12,7 @@ stay SPD. Matrices are stored sparse (CSR); everything downstream that needs
 dense data densifies explicitly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,7 +123,6 @@ class AffineSystem:
     domain: ParamDomain
     theta_name: str = None
     nodes: np.ndarray = None  # dof coordinates, for export / diagnostics
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.matrix_terms[0].shape[0]
@@ -247,7 +247,10 @@ class _Q1Pattern:
 
 def theta_thermal(mu):
     """Affine weights of the two-material block with interface parameter mu."""
-    mu = float(np.atleast_1d(mu)[0])
+    mu = np.atleast_1d(mu)
+    if mu.shape != (1,):
+        raise ValueError(f"expected one interface parameter, got {mu.size} values")
+    mu = float(mu[0])
     if not 0.0 < mu < 1.0:
         raise ValueError("interface parameter must lie strictly inside (0, 1)")
     return np.array([1.0 / (2.0 * mu), 2.0 * mu, 1.0 / (2.0 - 2.0 * mu), 2.0 - 2.0 * mu])
@@ -359,15 +362,15 @@ def gaussian_forcing(x, mu):
 def assemble_gaussian_poisson(n=24):
     """Poisson problem on [-1,1]^2 with a parameter-dependent Gaussian source.
 
-    The stiffness part is parameter independent (one affine term, weight
-    1); the right-hand side is left symbolic as the forcing map so it
-    can be treated by empirical interpolation. Homogeneous Dirichlet
-    conditions on the whole boundary.
+    The stiffness is parameter independent (one affine term, weight 1), with
+    homogeneous Dirichlet conditions on the whole boundary.
 
-    Returns ``(system, forcing)`` where ``system.rhs_terms`` is empty and
-    ``forcing(x, mu)`` evaluates the source. The system's ``meta`` carries the
-    full-grid node coordinates, the interior index list and the full mass
-    matrix needed to turn nodal forcing values into consistent loads.
+    Returns ``(system, points, load_map)``. The source ``gaussian_forcing`` is
+    not affine in the parameter, so ``system`` has no load terms. ``points``
+    are all the grid nodes, boundary included, where the source is sampled.
+    ``load_map`` is the CSR matrix of the interior rows of the full-grid mass:
+    ``load_map @ g`` is the consistent interior load of the nodal values ``g``,
+    and ``load_map @ G`` gives one load per column of ``G``.
     """
     if n < 3:
         raise ValueError("grid resolution must be at least 3")
@@ -391,22 +394,13 @@ def assemble_gaussian_poisson(n=24):
         gram=gram,
         domain=ParamDomain([-1.0, -1.0], [1.0, 1.0]),
         nodes=nodes[interior],
-        meta={"all_nodes": nodes, "interior": interior, "mass_full": mass_full},
     )
-    return system, gaussian_forcing
+    return system, nodes, mass_full[interior]
 
 
-def gaussian_poisson_load(system, nodal_values):
-    """Consistent load vector from forcing values at all grid nodes."""
-    mass = system.meta["mass_full"]
-    interior = system.meta["interior"]
-    return np.asarray(mass @ np.asarray(nodal_values, dtype=float))[interior]
-
-
-def solve_gaussian_poisson(system, mu):
-    """Full-order solve of the Gaussian-forcing problem (non-affine rhs)."""
-    g = gaussian_forcing(system.meta["all_nodes"], mu)
-    f = gaussian_poisson_load(system, g)
+def solve_gaussian_poisson(system, points, load_map, mu):
+    """Truth solve with the load ``load_map @ gaussian_forcing(points, mu)``."""
+    f = load_map @ gaussian_forcing(points, mu)
     a = sp.csc_matrix(system.assemble_matrix(mu))
     u = spla.spsolve(a, f)
     return FomSolution(mu=np.asarray(mu, dtype=float), coefficients=u, output=float(f @ u))
@@ -414,6 +408,8 @@ def solve_gaussian_poisson(system, mu):
 
 def fom_solve(system, mu):
     """Solve the affine full-order system at one parameter point."""
+    if not system.rhs_terms:
+        raise ValueError("the system has no load terms (rhs_terms is empty)")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if not system.domain.contains(mu, rtol=1e-12):
         raise ValueError(f"parameter {mu} outside the parameter domain")

@@ -293,8 +293,8 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     return newton(residual, lambda u: op, np.zeros(f.shape[0]), tol, max_iter)
 
 
-def export_eim_basis(basis, directory, points=None):
-    """Write an interpolation basis as CSV matrices plus a JSON manifest."""
+def export_eim_basis(basis, directory, points):
+    """Write a basis, the ``points`` at its magic indices and a JSON manifest."""
     os.makedirs(directory, exist_ok=True)
     np.savetxt(os.path.join(directory, "basis.csv"), basis.basis,
                delimiter=",", fmt="%.17g")
@@ -305,7 +305,6 @@ def export_eim_basis(basis, directory, points=None):
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    if points is not None:
-        np.savetxt(os.path.join(directory, "magic_points.csv"),
-                   np.atleast_2d(points)[basis.magic_indices],
-                   delimiter=",", fmt="%.17g")
+    np.savetxt(os.path.join(directory, "magic_points.csv"),
+               np.atleast_2d(points)[basis.magic_indices],
+               delimiter=",", fmt="%.17g")

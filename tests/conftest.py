@@ -29,12 +29,11 @@ def thermal_greedy(thermal_system):
 @pytest.fixture(scope="session")
 def gaussian_eim():
     """Gaussian-source interpolation basis on a coarse grid."""
-    system, forcing = fom.assemble_gaussian_poisson(n=16)
-    points = system.meta["all_nodes"]
+    system, points, _ = fom.assemble_gaussian_poisson(n=16)
     params = system.domain.sample(100, 42)
-    values = np.column_stack([forcing(points, mu) for mu in params])
+    values = np.column_stack([fom.gaussian_forcing(points, mu) for mu in params])
     basis = interpolation.eim_build(values, tol=1e-13, n_max=20)
-    return system, forcing, values, basis
+    return system, points, values, basis
 
 
 @pytest.fixture(scope="session")

@@ -29,10 +29,9 @@ def thermal32():
 
 @pytest.fixture(scope="module")
 def gaussian_demo():
-    system, forcing = fom.assemble_gaussian_poisson(n=24)
-    points = system.meta["all_nodes"]
+    system, points, _ = fom.assemble_gaussian_poisson(n=24)
     params = system.domain.sample(100, 42)
-    values = np.column_stack([forcing(points, mu) for mu in params])
+    values = np.column_stack([fom.gaussian_forcing(points, mu) for mu in params])
     return system, values
 
 

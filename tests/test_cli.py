@@ -137,10 +137,9 @@ class TestDemoCommands:
         monkeypatch.undo()
 
         # reference: one spsolve per solve, the exact one through the library
-        system, forcing = fom.assemble_gaussian_poisson(n=8)
-        points = system.meta["all_nodes"]
+        system, points, load_map = fom.assemble_gaussian_poisson(n=8)
         params = system.domain.sample(100, 42)
-        values = np.column_stack([forcing(points, mu) for mu in params])
+        values = np.column_stack([fom.gaussian_forcing(points, mu) for mu in params])
         basis = interpolation.eim_build(values, tol=1e-12, n_max=25)
         q = min(11, basis.size)
         sub = interpolation.EimBasis(
@@ -150,10 +149,10 @@ class TestDemoCommands:
         )
         rows = []
         for mu in system.domain.sample(10, 43):
-            exact = fom.solve_gaussian_poisson(system, mu)
-            g = interpolation.eim_interpolate(sub, forcing(points[sub.magic_indices], mu))
-            u = spla.spsolve(system.assemble_matrix(mu).tocsc(),
-                             fom.gaussian_poisson_load(system, g))
+            exact = fom.solve_gaussian_poisson(system, points, load_map, mu)
+            g = interpolation.eim_interpolate(
+                sub, fom.gaussian_forcing(points[sub.magic_indices], mu))
+            u = spla.spsolve(system.assemble_matrix(mu).tocsc(), load_map @ g)
             rows.append((float(mu[0]), float(mu[1]),
                          system.gram_norm(u - exact.coefficients)))
         reference = tmp_path / "reference.csv"
@@ -306,3 +305,25 @@ class TestRomCommands:
         with pytest.raises(SystemExit) as exc:
             _run(["rom", "solve", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.fixture(scope="class")
+    def model_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rom") / "run"
+        assert _run(["thermal-block", "--grid", "8", "--train-size", "10",
+                     "--out", str(out)]) == 0
+        return out / "rom"
+
+    # two values for the one parameter, a value outside (0, 1), no number
+    @pytest.mark.parametrize("mu", ["0.3 0.4", "1.5", "abc"])
+    def test_solve_bad_mu_exits_2(self, model_dir, tmp_path, capsys, mu):
+        coeff_out = tmp_path / "coeff.csv"
+        argv = ["rom", "solve", str(model_dir), "--mu", *mu.split(),
+                "--out", str(coeff_out)]
+        try:
+            code = _run(argv)
+        except SystemExit as exc:  # argparse rejects a value that is no number
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "s_N" not in captured.out
+        assert not coeff_out.exists()

@@ -140,6 +140,11 @@ class TestThermalTheta:
         with pytest.raises(ValueError):
             fom.theta_thermal(1.0)
 
+    @pytest.mark.parametrize("mu", [[], [0.3, 0.4], [[0.3]]])
+    def test_rejects_other_than_one_value(self, mu):
+        with pytest.raises(ValueError, match="one interface parameter"):
+            fom.theta_thermal(mu)
+
 
 class TestThermalBlock:
     def test_affine_matches_direct_assembly(self):
@@ -270,15 +275,26 @@ class TestSingularSystems:
             singular.gram_factor()
 
 
+def _parent_gaussian_load(n):
+    """The load rule (mass_full @ g)[interior] the load map replaced."""
+    nodes = fom._grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
+    conn = fom._element_connectivity(n)
+    local_mass = np.broadcast_to((2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))
+    mass_full = fom._Q1Pattern(conn, np.ones(len(nodes), dtype=bool)).assemble(local_mass)
+    interior = np.flatnonzero(np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1))
+    return lambda g: np.asarray(mass_full @ np.asarray(g, dtype=float))[interior]
+
+
 class TestGaussianPoisson:
     def test_interior_nodes_match_loop(self):
         n = 9
-        system, _ = fom.assemble_gaussian_poisson(n=n)
-        nodes = system.meta["all_nodes"]
-        expected = np.array([k for k in range(len(nodes))
-                             if np.all(np.abs(nodes[k]) < 1.0 - 1e-12)])
-        interior = system.meta["interior"]
-        assert interior.dtype == expected.dtype and np.array_equal(interior, expected)
+        system, points, load_map = fom.assemble_gaussian_poisson(n=n)
+        assert points.shape == ((n + 1) ** 2, 2)
+        expected = np.array([k for k in range(len(points))
+                             if np.all(np.abs(points[k]) < 1.0 - 1e-12)])
+        assert np.array_equal(system.nodes, points[expected])
+        assert load_map.shape == (len(expected), len(points))
+        assert system.rhs_terms == []
 
     def test_forcing_peak_and_decay(self):
         x = np.array([[0.2, -0.1], [1.0, 1.0]])
@@ -287,19 +303,43 @@ class TestGaussianPoisson:
         assert g[1] < g[0]
 
     def test_solution_positive(self):
-        system, _ = fom.assemble_gaussian_poisson(n=10)
-        sol = fom.solve_gaussian_poisson(system, [0.3, 0.3])
+        system, points, load_map = fom.assemble_gaussian_poisson(n=10)
+        sol = fom.solve_gaussian_poisson(system, points, load_map, [0.3, 0.3])
         assert sol.coefficients.min() > -1e-13
 
     def test_load_matches_direct_quadrature(self):
         # consistent load = full mass matrix times nodal forcing, restricted
-        system, forcing = fom.assemble_gaussian_poisson(n=6)
-        nodes = system.meta["all_nodes"]
-        g = forcing(nodes, [0.1, -0.4])
-        f = fom.gaussian_poisson_load(system, g)
-        mass = system.meta["mass_full"].toarray()
-        expected = (mass @ g)[system.meta["interior"]]
-        assert np.allclose(f, expected, atol=1e-14)
+        n = 6
+        _, points, load_map = fom.assemble_gaussian_poisson(n=n)
+        nodes = fom._grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
+        conn = fom._element_connectivity(n)
+        mass = _coo_reference(conn, np.ones(len(nodes), dtype=bool), np.broadcast_to(
+            (2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))).toarray()
+        interior = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
+        g = fom.gaussian_forcing(nodes, [0.1, -0.4])
+        assert np.array_equal(points, nodes)
+        assert np.allclose(load_map @ g, (mass @ g)[interior], atol=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_load_map_matches_parent_rule_bitwise(self, n):
+        _, points, load_map = fom.assemble_gaussian_poisson(n=n)
+        reference = _parent_gaussian_load(n)
+        rng = np.random.default_rng(n)
+        columns = [fom.gaussian_forcing(points, mu) for mu in 2.0 * rng.random((5, 2)) - 1.0]
+        columns += list(rng.standard_normal((5, len(points))))
+        for g in columns:
+            assert np.array_equal(load_map @ g, reference(g))
+        loads = load_map @ np.column_stack(columns)
+        for k, g in enumerate(columns):
+            assert np.array_equal(loads[:, k], reference(g))
+
+    def test_fom_solve_rejects_system_without_load_terms(self):
+        system, _, _ = fom.assemble_gaussian_poisson(n=8)
+        # checked before the parameter, so nothing is assembled first
+        with pytest.raises(ValueError, match="no load terms"):
+            fom.fom_solve(system, [5.0, 5.0])
+        with pytest.raises(ValueError, match="no load terms"):
+            fom.fom_solve(system, [0.1, 0.2])
 
 
 class TestPatternMatchesCooReference:
@@ -345,18 +385,17 @@ class TestPatternMatchesCooReference:
 
     @pytest.mark.parametrize("n", [4, 9, 32])
     def test_gaussian_poisson_stiffness_gram_and_mass(self, n):
-        system, _ = fom.assemble_gaussian_poisson(n=n)
+        system, points, load_map = fom.assemble_gaussian_poisson(n=n)
         conn = fom._element_connectivity(n)
-        interior = np.zeros(len(system.meta["all_nodes"]), dtype=bool)
-        interior[system.meta["interior"]] = True
+        interior = np.all(np.abs(points) < 1.0 - 1e-12, axis=1)
         local_mass = np.broadcast_to((2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))
         stiff = _coo_reference(conn, interior, np.broadcast_to(
             fom._KX_REF + fom._KY_REF, (len(conn), 4, 4)))
         _assert_bitwise(system.matrix_terms[0], stiff)
         _assert_bitwise(system.gram, sp.csr_matrix(
             stiff + _coo_reference(conn, interior, local_mass)))
-        _assert_bitwise(system.meta["mass_full"],
-                        _coo_reference(conn, np.ones_like(interior), local_mass))
+        mass_full = _coo_reference(conn, np.ones_like(interior), local_mass)
+        _assert_bitwise(load_map, sp.csr_matrix(mass_full[np.flatnonzero(interior)]))
 
     @pytest.mark.parametrize("n", [4, 9, 32])
     def test_nonlinear_mass_stiffness_and_forcing(self, n):

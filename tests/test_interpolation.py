@@ -284,10 +284,9 @@ class TestEimCoefficients:
         assert np.abs(c - e).max() < 1e-13
 
     def test_held_out_parameter_within_reported_error(self, gaussian_eim):
-        system, forcing, _, basis = gaussian_eim
-        points = system.meta["all_nodes"]
+        _, points, _, basis = gaussian_eim
         mu = np.array([0.123, -0.456])
-        exact = forcing(points, mu)
+        exact = fom.gaussian_forcing(points, mu)
         rec = interpolation.eim_interpolate(basis, exact[basis.magic_indices])
         # held-out error is comparable to the training ceiling, not below it
         assert np.abs(rec - exact).max() < 50.0 * basis.error_history[-1]
@@ -566,9 +565,8 @@ def test_builders_reject_empty_size(build, match):
 
 class TestExport:
     def test_files_written(self, gaussian_eim, tmp_path):
-        system, _, _, basis = gaussian_eim
-        interpolation.export_eim_basis(basis, tmp_path,
-                                       points=system.meta["all_nodes"])
+        _, points, _, basis = gaussian_eim
+        interpolation.export_eim_basis(basis, tmp_path, points)
         assert (tmp_path / "basis.csv").exists()
         assert (tmp_path / "magic_points.csv").exists()
         import json
