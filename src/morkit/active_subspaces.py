@@ -51,13 +51,6 @@ def normalize_parameters(domain, mu):
     return 2.0 * (mu - lo) / (hi - lo) - 1.0
 
 
-def denormalize_parameters(domain, y):
-    """Inverse of :func:`normalize_parameters`."""
-    y = np.asarray(y, dtype=float)
-    lo, hi = domain.lower, domain.upper
-    return lo + 0.5 * (y + 1.0) * (hi - lo)
-
-
 def _fd_gradient(f, mu, domain):
     """Central finite differences in physical coordinates."""
     p = mu.shape[0]
@@ -206,16 +199,6 @@ def export_summary_csv(path, subspace, samples):
 
 # ---------------------------------------------------------------------------
 # analytic benchmark functions
-
-
-def paraboloid(mu):
-    """f(y) = 0.5 |y|^2 on normalized coordinates has covariance I / 3."""
-    y = np.asarray(mu, dtype=float)
-    return 0.5 * float(y @ y)
-
-
-def paraboloid_grad(mu):
-    return np.asarray(mu, dtype=float).copy()
 
 
 QUADRATIC_SCALES = np.array([10.0, 1.0, 0.1])

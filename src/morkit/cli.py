@@ -76,6 +76,22 @@ def even_grid_size(text):
     return value
 
 
+def tolerance(text):
+    """The type of ``--tol``: a finite number of at least 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"must be a finite number of at least 0, got {value}")
+    return value
+
+
+def positive_tolerance(text):
+    """eim-demo's ``--tol``: the interpolation greedy needs one above 0."""
+    value = tolerance(text)
+    if value == 0.0:
+        raise ValueError(f"must be above 0, got {value}")
+    return value
+
+
 # the type and help of each option, by name or by (command, name) where a
 # command narrows it
 _OPTION_TYPES = {
@@ -83,7 +99,8 @@ _OPTION_TYPES = {
     ("thermal-block", "grid"): (even_grid_size,
                                 "full-order grid resolution per direction, even"),
     "train-size": (positive_int, "training sample count"),
-    "tol": (float, "stopping tolerance"),
+    "tol": (tolerance, "stopping tolerance"),
+    ("eim-demo", "tol"): (positive_tolerance, "stopping tolerance, above 0"),
     "n-max": (positive_int, "maximum basis size"),
     "seed": (int, "random seed"),
     "out": (str, "output directory or file"),
@@ -268,7 +285,7 @@ def _run_morph(args):
         raise _DescriptorError(descriptor_path, 1, str(exc))
     try:
         points = morphing.read_point_cloud(args.points)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise _DescriptorError(args.points, 0, str(exc))
     deformed = morphing.deform(morph, points)
     morphing.write_point_cloud(args.out, deformed)

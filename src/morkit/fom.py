@@ -53,9 +53,10 @@ class ParamDomain:
     def dim(self):
         return self.lower.shape[0]
 
-    def contains(self, mu, rtol=0.0):
+    def contains(self, mu):
+        """Whether ``mu`` lies in the box, padded by 1e-12 of its width."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        pad = rtol * (self.upper - self.lower)
+        pad = 1e-12 * (self.upper - self.lower)
         return bool(np.all(mu >= self.lower - pad) and np.all(mu <= self.upper + pad))
 
     def sample(self, n, seed):
@@ -411,7 +412,7 @@ def fom_solve(system, mu):
     if not system.rhs_terms:
         raise ValueError("the system has no load terms (rhs_terms is empty)")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if not system.domain.contains(mu, rtol=1e-12):
+    if not system.domain.contains(mu):
         raise ValueError(f"parameter {mu} outside the parameter domain")
     a = sp.csc_matrix(system.assemble_matrix(mu))
     f = system.assemble_rhs(mu)

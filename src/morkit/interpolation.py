@@ -75,7 +75,7 @@ def eim_build(samples, tol=1e-12, n_max=None):
     need not decrease: the interpolant is not a best approximation. One pass
     over each new residual's column sup norms gives the error and next column.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")

@@ -19,7 +19,7 @@ class SvdConvergenceError(np.linalg.LinAlgError):
     """Raised when the SVD iteration fails to converge."""
 
 
-def check_matrix(a, name="matrix"):
+def check_matrix(a, name):
     """Validate and return a 2-d float array with finite entries."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -31,7 +31,7 @@ def check_matrix(a, name="matrix"):
     return a
 
 
-def check_vector(b, name="vector"):
+def check_vector(b, name):
     """Validate and return a 1-d float array with finite entries."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:

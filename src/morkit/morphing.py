@@ -177,10 +177,6 @@ class RbfMorph:
     poly_const: np.ndarray  # c
     poly_matrix: np.ndarray  # Q, applied as x -> Q x
 
-    @property
-    def dim(self):
-        return self.control_points.shape[1]
-
 
 def _pairwise_distances(a, b):
     """Euclidean distances between the rows of a and b, shape (len(a), len(b)).
@@ -225,7 +221,7 @@ def rbf_build(control_points, deformed_points, kernel="gaussian", radius=None):
         )
     if radius is None:
         radius = bounding_box_diagonal(x_c)
-    if radius <= 0.0:
+    if not radius > 0.0:  # also rejects NaN
         raise MorphBuildError("kernel radius must be positive")
 
     dist = _pairwise_distances(x_c, x_c)
@@ -356,28 +352,56 @@ def write_point_cloud(path, points):
         fh.write(line * n % tuple(points.ravel().tolist()))
 
 
+def _field(descriptor, key, convert):
+    """``convert(descriptor[key])``, or a MorphBuildError naming ``key``."""
+    if key not in descriptor:
+        raise MorphBuildError(f"missing key {key!r}")
+    try:
+        return convert(descriptor[key])
+    except (TypeError, ValueError) as exc:
+        raise MorphBuildError(f"{key}: {exc}") from None
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
+def _int_tuple(value):
+    return tuple(int(k) for k in value)
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def morph_from_descriptor(descriptor):
-    """Build a morph from a parsed JSON descriptor (dict)."""
+    """Build a morph from a parsed JSON descriptor (dict).
+
+    A missing key, or a value that does not convert to the field's type,
+    raises :class:`MorphBuildError` naming the key.
+    """
     kind = descriptor.get("type")
     if kind == "ffd":
         return FfdLattice(
-            origin=np.asarray(descriptor["origin"], dtype=float),
-            axes=np.asarray(descriptor["axes"], dtype=float),
-            degrees=tuple(descriptor["degrees"]),
-            displacements=np.asarray(descriptor["displacements"], dtype=float),
+            origin=_field(descriptor, "origin", _float_array),
+            axes=_field(descriptor, "axes", _float_array),
+            degrees=_field(descriptor, "degrees", _int_tuple),
+            displacements=_field(descriptor, "displacements", _float_array),
         )
     if kind == "rbf":
+        fields = {"kernel": "gaussian", "radius": None, **descriptor}
         return rbf_build(
-            control_points=descriptor["control_points"],
-            deformed_points=descriptor["deformed_points"],
-            kernel=descriptor.get("kernel", "gaussian"),
-            radius=descriptor.get("radius"),
+            control_points=_field(fields, "control_points", _float_array),
+            deformed_points=_field(fields, "deformed_points", _float_array),
+            kernel=_field(fields, "kernel", str),
+            radius=_field(fields, "radius", _optional_float),
         )
     if kind == "idw":
+        fields = {"exponent": 2, **descriptor}
         return IdwMorph(
-            control_points=np.asarray(descriptor["control_points"], dtype=float),
-            deformed_points=np.asarray(descriptor["deformed_points"], dtype=float),
-            exponent=descriptor.get("exponent", 2),
+            control_points=_field(fields, "control_points", _float_array),
+            deformed_points=_field(fields, "deformed_points", _float_array),
+            exponent=_field(fields, "exponent", int),
         )
     raise MorphBuildError(f"unknown morph type {kind!r}")
 

@@ -39,3 +39,18 @@ def gaussian_eim():
 @pytest.fixture(scope="session")
 def nonlinear_problem():
     return fom.NonlinearFom(n=8)
+
+
+@pytest.fixture(scope="session")
+def paraboloid():
+    """f(y) = 0.5 |y|^2 and its gradient; on the cube [-1, 1]^p, where
+    y = mu, the gradient covariance is I / 3."""
+
+    def f(mu):
+        y = np.asarray(mu, dtype=float)
+        return 0.5 * float(y @ y)
+
+    def grad(mu):
+        return np.asarray(mu, dtype=float).copy()
+
+    return f, grad

@@ -293,12 +293,12 @@ class TestAcceptance:
             f"unity = {partition:.1e} (<= 1e-12), {elapsed:.2f}s (limit 1s)",
         )
 
-    def test_08_active_subspaces(self):
+    def test_08_active_subspaces(self, paraboloid):
         start = time.perf_counter()
         domain = fom.ParamDomain([-1.0] * 3, [1.0] * 3)
 
-        para = asub.sample_gradients(asub.paraboloid, domain, 2000, 42,
-                                     grad=asub.paraboloid_grad)
+        f, grad = paraboloid
+        para = asub.sample_gradients(f, domain, 2000, 42, grad=grad)
         para_sub = asub.estimate_subspace(para)
         para_dev = float(np.abs(para_sub.eigenvalues - 1.0 / 3.0).max() * 3.0)
         ratios = para_sub.eigenvalues[:-1] / para_sub.eigenvalues[1:]

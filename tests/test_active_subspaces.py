@@ -14,11 +14,11 @@ def _cube_domain(p):
 
 
 class TestSampling:
-    def test_finite_difference_matches_analytic_gradient(self):
+    def test_finite_difference_matches_analytic_gradient(self, paraboloid):
+        f, grad = paraboloid
         domain = _cube_domain(3)
-        with_grad = asub.sample_gradients(asub.paraboloid, domain, 50, 1,
-                                          grad=asub.paraboloid_grad)
-        with_fd = asub.sample_gradients(asub.paraboloid, domain, 50, 1)
+        with_grad = asub.sample_gradients(f, domain, 50, 1, grad=grad)
+        with_fd = asub.sample_gradients(f, domain, 50, 1)
         assert np.abs(with_grad.gradients - with_fd.gradients).max() < 1e-8
 
     def test_chain_rule_scaling(self):
@@ -63,12 +63,14 @@ class TestSampling:
         assert np.array_equal(samples.values, values)
         assert np.array_equal(samples.parameters, mus)
 
-    def test_normalization_round_trip(self):
+    def test_normalization_maps_box_to_unit_cube(self):
         domain = ParamDomain([2.0, -3.0], [4.0, 1.0])
-        mu = np.array([3.5, 0.0])
-        y = asub.normalize_parameters(domain, mu)
-        assert np.all(np.abs(y) <= 1.0)
-        assert np.allclose(asub.denormalize_parameters(domain, y), mu, atol=1e-14)
+        assert np.array_equal(asub.normalize_parameters(domain, domain.lower),
+                              [-1.0, -1.0])
+        assert np.array_equal(asub.normalize_parameters(domain, domain.upper),
+                              [1.0, 1.0])
+        y = asub.normalize_parameters(domain, np.array([3.5, 0.0]))
+        assert np.allclose(y, [0.5, 0.5], atol=1e-14)
 
 
 class TestEstimate:
@@ -146,7 +148,7 @@ class TestProjection:
         mu = np.array([1.2, 3.1])
         mu_m, eta = asub.project_active(s, mu)
         y = s.active_basis @ mu_m + s.inactive_basis @ eta
-        assert np.allclose(asub.denormalize_parameters(domain, y), mu, atol=1e-12)
+        assert np.allclose(y, asub.normalize_parameters(domain, mu), atol=1e-12)
 
 
 class TestHeuristic:
@@ -208,10 +210,10 @@ class TestDistance:
 
 
 class TestSummary:
-    def test_rows_pair_active_coordinates_with_values(self):
+    def test_rows_pair_active_coordinates_with_values(self, paraboloid):
+        f, grad = paraboloid
         domain = _cube_domain(2)
-        samples = asub.sample_gradients(asub.paraboloid, domain, 15, 21,
-                                        grad=asub.paraboloid_grad)
+        samples = asub.sample_gradients(f, domain, 15, 21, grad=grad)
         s = asub.estimate_subspace(samples, split=1)
         rows = asub.summary_data(s, samples)
         assert rows.shape == (15, 2)
@@ -245,10 +247,10 @@ class TestSummary:
                          for mu, val in zip(samples.parameters, samples.values)])
         assert np.array_equal(asub.summary_data(s, samples), rows)
 
-    def test_csv_exports(self, tmp_path):
+    def test_csv_exports(self, tmp_path, paraboloid):
+        f, grad = paraboloid
         domain = _cube_domain(2)
-        samples = asub.sample_gradients(asub.paraboloid, domain, 10, 23,
-                                        grad=asub.paraboloid_grad)
+        samples = asub.sample_gradients(f, domain, 10, 23, grad=grad)
         s = asub.estimate_subspace(samples, split=1)
         asub.export_summary_csv(tmp_path / "summary.csv", s, samples)
         write_csv(tmp_path / "eig.csv", "index,lambda",

@@ -80,6 +80,49 @@ class TestMorphCommand:
         assert _run(["morph", "rbf", str(path), str(descriptor)]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, descriptor, message", [
+        ("idw", {}, "missing key 'control_points'"),
+        ("ffd", {"origin": [0, 0], "axes": [[1, 0], [0, 1]], "degrees": "abc",
+                 "displacements": np.zeros((3, 3, 2)).tolist()},
+         "degrees: invalid literal for int()"),
+        ("idw", {"control_points": [[0, 0], [1]],
+                 "deformed_points": [[0, 0], [1, 1]]}, "control_points: "),
+        ("rbf", {"control_points": [[0, 0], [1]],
+                 "deformed_points": [[0, 0], [1, 1]]}, "control_points: "),
+        ("rbf", {"control_points": [[0, 0], [1, 0], [0, 1]],
+                 "deformed_points": [[0, 0], [1, 0], [0, 1]], "radius": "abc"},
+         "radius: could not convert"),
+        ("rbf", {"control_points": [[0, 0], [1, 0], [0, 1]],
+                 "deformed_points": [[0, 0], [1, 0], [0, 1]], "radius": "nan"},
+         "kernel radius must be positive"),
+        ("idw", {"control_points": [[0, 0], [1, 1]],
+                 "deformed_points": [[0, 0], [1, 1]], "exponent": "abc"},
+         "exponent: invalid literal for int()"),
+    ], ids=["missing-key", "degrees", "ragged-idw", "ragged-rbf", "radius",
+            "radius-nan", "exponent"])
+    def test_descriptor_value_exit_2(self, cloud, tmp_path, capsys, kind,
+                                     descriptor, message):
+        path, _ = cloud
+        descriptor_path = tmp_path / "morph.json"
+        descriptor_path.write_text(json.dumps(descriptor))
+        out = tmp_path / "deformed.txt"
+        assert _run(["morph", kind, str(path), str(descriptor_path),
+                     "--out", str(out)]) == 2
+        assert f"morph.json:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_points_file_exit_2(self, tmp_path, capsys):
+        descriptor = tmp_path / "morph.json"
+        descriptor.write_text(json.dumps({
+            "control_points": [[0.0, 0.0], [1.0, 1.0]],
+            "deformed_points": [[0.0, 0.0], [1.0, 1.0]],
+        }))
+        out = tmp_path / "deformed.txt"
+        assert _run(["morph", "idw", str(tmp_path / "missing.txt"),
+                     str(descriptor), "--out", str(out)]) == 2
+        assert "missing.txt:0: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rbf_deterministic_bytes(self, cloud, tmp_path):
         path, _ = cloud
         descriptor = tmp_path / "morph.json"
@@ -221,6 +264,13 @@ class TestDemoCommands:
         ("thermal-block", {"grid": 2}),
         ("eim-demo", {"grid": 2}),
         ("deim-demo", {"grid": 2, "train-size": 2}),
+        # tolerances the builders reject or never meet
+        ("eim-demo", {"tol": 0}),
+        ("eim-demo", {"tol": -1}),
+        ("eim-demo", {"tol": "nan"}),
+        ("thermal-block", {"tol": -1}),
+        ("thermal-block", {"tol": "nan"}),
+        ("thermal-block", {"tol": "inf"}),
     ])
     def test_bad_config_key_or_value_exit_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "config.json"
@@ -229,6 +279,12 @@ class TestDemoCommands:
         assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "config.json:1:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_thermal_block_takes_zero_tolerance(self, tmp_path):
+        # the greedy accepts 0: it then stops on the basis size cap
+        assert _run(["thermal-block", "--grid", "4", "--train-size", "3",
+                     "--n-max", "2", "--tol", "0",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_count_flag_below_one_exits_2(self, tmp_path):
         out = tmp_path / "out"
@@ -242,8 +298,14 @@ class TestDemoCommands:
         "thermal-block --grid 2",
         "eim-demo --grid 2",
         "deim-demo --grid 2 --train-size 2",
+        "eim-demo --grid 4 --train-size 5 --tol 0",
+        "eim-demo --grid 4 --train-size 5 --tol -1",
+        "eim-demo --grid 4 --train-size 5 --tol nan",
+        "thermal-block --grid 4 --tol -1",
+        "thermal-block --grid 4 --tol nan",
+        "thermal-block --grid 4 --tol inf",
     ])
-    def test_grid_the_builder_rejects_exits_2(self, tmp_path, argv):
+    def test_value_the_builder_rejects_exits_2(self, tmp_path, argv):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             _run(argv.split() + ["--out", str(out)])

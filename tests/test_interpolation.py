@@ -185,6 +185,11 @@ class TestEimBuild:
         assert basis.size == 3
         assert basis.error_history[-1] <= 1e-12
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_tolerance_not_above_zero(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            interpolation.eim_build(np.eye(3), tol=tol)
+
     def test_unit_lower_triangular_every_iteration(self, gaussian_eim):
         _, _, values, _ = gaussian_eim
         for q in range(1, 9):

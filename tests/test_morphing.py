@@ -108,15 +108,29 @@ class TestFfd:
             assert np.array_equal(morphing._bernstein_weights(t[:, 0], degree), ref)
 
 
-def test_import_loads_no_scipy_special():
-    # the Bernstein coefficients were morkit's only use of scipy.special
+def _fresh_python(code):
+    """Standard output of ``code`` run by a new interpreter that imports this morkit."""
     src = os.path.dirname(os.path.dirname(morphing.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy_special():
+    # the Bernstein coefficients were morkit's only use of scipy.special
     code = "import sys, morkit, morkit.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_package_namespace_holds_only_its_modules():
+    # each name has one import path: its module's
+    code = ("import morkit; print(' '.join(sorted(n for n in vars(morkit) "
+            "if not n.startswith('__')))); print(morkit.fom.fom_solve.__module__)")
+    names, module = _fresh_python(code).splitlines()
+    assert names.split() == ["active_subspaces", "certification", "fom",
+                             "interpolation", "linalg", "morphing", "rb"]
+    assert module == "morkit.fom"
 
 
 class TestRbfKernels:
