@@ -14,7 +14,7 @@ def main():
     system = fom.assemble_thermal_block(n=32, sigma1=1.0, sigma2=0.2)
     params = list(system.domain.uniform_grid(40))
     snaps = np.column_stack(
-        [fom.fom_solve(system, mu).coefficients for mu in params]
+        [truth.coefficients for truth in fom.fom_solve_many(system, params)]
     )
 
     basis = rb.pod(snaps, gram=system.gram, rank=8)

@@ -157,8 +157,7 @@ def _run_thermal_block(args):
     for size, max_delta in basis.history:
         history_rows.append((size, max_delta, np.nan))
     errors = []
-    for mu in training:
-        truth = fom.fom_solve(system, mu)
+    for mu, truth in zip(training, fom.fom_solve_many(system, training)):
         u_n, _ = rb.rom_solve(romsys, mu)
         e = truth.coefficients - rb.lift(basis, u_n)
         errors.append(system.gram_norm(e))
@@ -167,8 +166,8 @@ def _run_thermal_block(args):
                   "N,max_delta,max_true_error", history_rows)
 
     sweep = []
-    for mu in system.domain.uniform_grid(20):
-        truth = fom.fom_solve(system, mu)
+    sweep_mus = system.domain.uniform_grid(20)
+    for mu, truth in zip(sweep_mus, fom.fom_solve_many(system, sweep_mus)):
         u_n, s_n = rb.rom_solve(romsys, mu)
         d_en, d_s = certification.error_bounds(offline, model, system, romsys, mu)
         e = truth.coefficients - rb.lift(basis, u_n)
@@ -287,7 +286,10 @@ def _run_morph(args):
         points = morphing.read_point_cloud(args.points)
     except (OSError, ValueError) as exc:
         raise _DescriptorError(args.points, 0, str(exc))
-    deformed = morphing.deform(morph, points)
+    try:
+        deformed = morphing.deform(morph, points)
+    except morphing.MorphBuildError as exc:
+        raise _DescriptorError(descriptor_path, 1, str(exc))
     morphing.write_point_cloud(args.out, deformed)
     disp = np.linalg.norm(deformed - points, axis=1)
     summary = {

@@ -427,6 +427,56 @@ def fom_solve(system, mu):
     return FomSolution(mu=mu, coefficients=u, output=float(f @ u))
 
 
+def fom_solve_many(system, mus):
+    """Yield :func:`fom_solve` at each point of ``mus``, in that order.
+
+    The solves run side by side, one per CPU the process may use (its
+    affinity set, else the CPU count). With k CPUs, the calling thread
+    solves every k-th point and k - 1 helper threads the others, handed out
+    at most 2k points ahead of the one being yielded, so at most k
+    factorizations are alive at once and few results wait. With one CPU
+    this is the plain serial loop, and no thread starts.
+
+    The results are bitwise those of the serial loop: each is one
+    ``fom_solve`` call on its own point, nothing is summed across points,
+    and SciPy's SuperLU factors with the GIL released and keeps its error
+    state per thread. The helpers call the module's ``fom_solve``, so a
+    wrapper set in its place sees every solve. A failing point raises its
+    error when the iteration reaches it. On an error, or when the generator
+    is closed early, the solves not yet started are cancelled and none
+    still running is waited for.
+    """
+    # imported here: fom adds no module-level import (its import time is
+    # benchmarked)
+    import os
+
+    mus = list(mus)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    if cpus == 1:
+        for mu in mus:
+            yield fom_solve(system, mu)
+        return
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=cpus - 1)
+    helped = {}  # index -> future of the points the helpers solve
+    handed_out = 0  # points [0, handed_out) are the caller's or submitted
+    try:
+        for i, mu in enumerate(mus):
+            ahead = min(i + 2 * cpus, len(mus))
+            for j in range(handed_out, ahead):
+                if j % cpus:
+                    helped[j] = pool.submit(fom_solve, system, mus[j])
+            handed_out = ahead
+            yield helped.pop(i).result() if i % cpus else fom_solve(system, mu)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
 def nu_gaussian(x, mu):
     """Parametrized diffusivity field: shifted Gaussian bump over a floor."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -37,6 +37,9 @@ class FfdLattice:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.axes = np.asarray(self.axes, dtype=float)
+        if self.origin.ndim != 1:
+            raise MorphBuildError(
+                f"origin must be a 1-d array, got {self.origin.ndim}-d")
         d = self.origin.shape[0]
         if self.axes.shape != (d, d):
             raise MorphBuildError("axes must be a square matrix matching the origin")
@@ -201,6 +204,16 @@ def bounding_box_diagonal(points):
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
+def _check_point_arrays(control, deformed):
+    """Control and deformed points: 2-d arrays of one shape, a point per row."""
+    if control.ndim != 2 or deformed.ndim != 2:
+        raise MorphBuildError(
+            f"control and deformed points must be 2-d arrays, got "
+            f"{control.ndim}-d and {deformed.ndim}-d")
+    if control.shape != deformed.shape:
+        raise MorphBuildError("control and deformed point arrays must match")
+
+
 def rbf_build(control_points, deformed_points, kernel="gaussian", radius=None):
     """Solve the constrained interpolation system for an RBF morph.
 
@@ -210,8 +223,7 @@ def rbf_build(control_points, deformed_points, kernel="gaussian", radius=None):
     """
     x_c = np.atleast_2d(np.asarray(control_points, dtype=float))
     y_c = np.atleast_2d(np.asarray(deformed_points, dtype=float))
-    if x_c.shape != y_c.shape:
-        raise MorphBuildError("control and deformed point arrays must match")
+    _check_point_arrays(x_c, y_c)
     n_c, d = x_c.shape
     if n_c < d + 1:
         raise MorphBuildError(f"need at least {d + 1} control points in {d}-d")
@@ -280,8 +292,7 @@ class IdwMorph:
     def __post_init__(self):
         self.control_points = np.atleast_2d(np.asarray(self.control_points, dtype=float))
         self.deformed_points = np.atleast_2d(np.asarray(self.deformed_points, dtype=float))
-        if self.control_points.shape != self.deformed_points.shape:
-            raise MorphBuildError("control and deformed point arrays must match")
+        _check_point_arrays(self.control_points, self.deformed_points)
         if int(self.exponent) < 1:
             raise MorphBuildError("exponent must be a positive integer")
         self.exponent = int(self.exponent)
@@ -407,11 +418,21 @@ def morph_from_descriptor(descriptor):
 
 
 def deform(morph, points):
-    """Dispatch deformation over the three morph kinds."""
+    """Dispatch deformation over the three morph kinds.
+
+    Raises :class:`MorphBuildError` when the points and the morph differ in
+    dimension.
+    """
     if isinstance(morph, FfdLattice):
-        return ffd_deform(morph, points)
-    if isinstance(morph, RbfMorph):
-        return rbf_deform(morph, points)
-    if isinstance(morph, IdwMorph):
-        return idw_deform(morph, points)
-    raise TypeError(f"not a morph: {type(morph)!r}")
+        dim, apply = morph.dim, ffd_deform
+    elif isinstance(morph, RbfMorph):
+        dim, apply = morph.control_points.shape[1], rbf_deform
+    elif isinstance(morph, IdwMorph):
+        dim, apply = morph.control_points.shape[1], idw_deform
+    else:
+        raise TypeError(f"not a morph: {type(morph)!r}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != dim:
+        raise MorphBuildError(
+            f"the morph is {dim}-d but the points are {points.shape[1]}-d")
+    return apply(morph, points)

@@ -1,9 +1,20 @@
 """Shared fixtures; expensive full-order builds are session scoped."""
 
+import os
+
 import numpy as np
 import pytest
 
 from morkit import certification, fom, interpolation, rb
+
+
+@pytest.fixture()
+def set_cpus(monkeypatch):
+    """Set the number of CPUs the process may use, as ``taskset`` would."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_count
 
 
 @pytest.fixture(scope="session")

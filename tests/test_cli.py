@@ -1,13 +1,14 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._dsolve import _superlu
 
-from morkit import cli, fom, interpolation, morphing
+from morkit import cli, fom, interpolation, morphing, rb
 
 
 def _run(argv):
@@ -107,6 +108,39 @@ class TestMorphCommand:
         descriptor_path.write_text(json.dumps(descriptor))
         out = tmp_path / "deformed.txt"
         assert _run(["morph", kind, str(path), str(descriptor_path),
+                     "--out", str(out)]) == 2
+        assert f"morph.json:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, descriptor, message", [
+        ("idw", {"control_points": [[0, 0], [1, 1]],
+                 "deformed_points": [[0, 0], [1, 1]]},
+         "the morph is 2-d but the points are 3-d"),
+        ("rbf", {"control_points": [[0, 0], [1, 0], [0, 1]],
+                 "deformed_points": [[0, 0], [1, 0], [0, 1]]},
+         "the morph is 2-d but the points are 3-d"),
+        ("ffd", {"origin": [0, 0], "axes": [[1, 0], [0, 1]], "degrees": [1, 1],
+                 "displacements": np.zeros((2, 2, 2)).tolist()},
+         "the morph is 2-d but the points are 3-d"),
+        ("ffd", {"origin": 5, "axes": [[1]], "degrees": [1],
+                 "displacements": [[0], [0]]}, "origin must be a 1-d array"),
+        ("idw", {"control_points": [[[0, 0, 0]], [[1, 1, 1]]],
+                 "deformed_points": [[[0, 0, 0]], [[1, 1, 1]]]},
+         "control and deformed points must be 2-d arrays, got 3-d and 3-d"),
+        ("rbf", {"control_points": [[[0, 0, 0]], [[1, 0, 0]], [[0, 1, 0]],
+                                    [[0, 0, 1]]],
+                 "deformed_points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "control and deformed points must be 2-d arrays, got 3-d and 2-d"),
+    ], ids=["idw-2d", "rbf-2d", "ffd-2d", "ffd-origin", "idw-nested",
+            "rbf-nested"])
+    def test_descriptor_that_does_not_fit_exit_2(self, tmp_path, capsys, kind,
+                                                 descriptor, message):
+        points = tmp_path / "cloud3d.txt"
+        morphing.write_point_cloud(points, np.random.default_rng(5).random((20, 3)))
+        descriptor_path = tmp_path / "morph.json"
+        descriptor_path.write_text(json.dumps(descriptor))
+        out = tmp_path / "deformed.txt"
+        assert _run(["morph", kind, str(points), str(descriptor_path),
                      "--out", str(out)]) == 2
         assert f"morph.json:1: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -311,6 +345,46 @@ class TestDemoCommands:
             _run(argv.split() + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestThermalBlockCommand:
+    ARGV = ["thermal-block", "--grid", "8", "--train-size", "10"]
+
+    def test_files_byte_identical_at_any_cpu_count(self, tmp_path, set_cpus):
+        trees = {}
+        for cpus in (None, 1, 3):  # None: the CPUs the process may use
+            if cpus is not None:
+                set_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert _run(self.ARGV + ["--out", str(out)]) == 0
+            trees[cpus] = {path.relative_to(out): path.read_bytes()
+                           for path in sorted(out.rglob("*")) if path.is_file()}
+        assert len(trees[1]) == 4  # the two CSV files and the saved model's two
+        assert trees[None] == trees[1]
+        assert trees[3] == trees[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_truth_solve_per_point(self, tmp_path, monkeypatch, set_cpus,
+                                       cpus):
+        # the greedy's 2 basis solves, then the training and bound sweeps,
+        # which run on one thread per CPU
+        calls = []
+        solve = fom.fom_solve
+
+        def counted(system, mu):
+            calls.append(threading.current_thread())
+            return solve(system, mu)
+
+        for module in (fom, rb):  # rb holds its own binding
+            monkeypatch.setattr(module, "fom_solve", counted)
+        set_cpus(cpus)
+        out = tmp_path / "out"
+        assert _run(self.ARGV + ["--out", str(out)]) == 0
+        history = (out / "greedy_history.csv").read_text().strip().split("\n")
+        assert history[-1].startswith("2,")
+        assert len(calls) == 2 + 10 + 20
+        helped = sum(thread is not threading.main_thread() for thread in calls)
+        assert (helped > 0) == (cpus > 1)
 
 
 class TestDeclaredFlags:

@@ -1,5 +1,9 @@
 """Full-order problems: assembly oracles, affine fidelity, nonlinear solver."""
 
+import concurrent.futures
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -273,6 +277,96 @@ class TestSingularSystems:
         )
         with pytest.raises(linalg.SingularMatrixError):
             singular.gram_factor()
+
+
+class TestFomSolveMany:
+    """The ordered parallel map of truth solves, at one and at several CPUs."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        system = fom.assemble_thermal_block(n=16)
+        return system, list(system.domain.uniform_grid(30))
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])  # None: the real count
+    def test_bitwise_the_serial_solves_in_order(self, block, set_cpus, cpus):
+        system, mus = block
+        serial = [fom.fom_solve(system, mu) for mu in mus]
+        if cpus is not None:
+            set_cpus(cpus)
+        many = list(fom.fom_solve_many(system, mus))
+        assert len(many) == len(serial)
+        for got, want in zip(many, serial):
+            assert np.array_equal(got.mu, want.mu)
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert got.output == want.output
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [4, 5])  # the caller's point and a helper's
+    def test_out_of_domain_point_raises_when_reached(self, block, set_cpus,
+                                                     cpus, bad):
+        system, mus = block
+        mus = mus[:bad] + [np.array([1.5])] + mus[bad:]
+        with pytest.raises(ValueError) as serial:
+            fom.fom_solve(system, mus[bad])
+        set_cpus(cpus)
+        yielded = []
+        with pytest.raises(ValueError) as many:
+            for truth in fom.fom_solve_many(system, mus):
+                yielded.append(truth)
+        assert str(many.value) == str(serial.value)
+        assert len(yielded) == bad
+
+    def test_one_cpu_starts_no_thread_pool(self, block, set_cpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        system, mus = block
+        set_cpus(1)
+        assert len(list(fom.fom_solve_many(system, mus))) == len(mus)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_helpers_solve_through_the_module_function(self, block, set_cpus,
+                                                       monkeypatch, cpus):
+        # the benchmark's tracer counts solves by replacing fom.fom_solve
+        system, mus = block
+        calls = []
+        solve = fom.fom_solve
+        monkeypatch.setattr(fom, "fom_solve",
+                            lambda system, mu: calls.append(mu) or solve(system, mu))
+        set_cpus(cpus)
+        assert len(list(fom.fom_solve_many(system, mus))) == len(mus)
+        assert len(calls) == len(mus)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_early_close_cancels_the_solves_not_started(self, block, set_cpus,
+                                                        monkeypatch, cpus):
+        # the helpers hold their first points until the generator is closed
+        system, mus = block
+        started, release = [], threading.Event()
+        solve = fom.fom_solve
+
+        def gated(system, mu):
+            started.append(float(mu[0]))
+            if threading.current_thread() is not threading.main_thread():
+                release.wait(timeout=10.0)
+            else:  # until every helper holds a point
+                deadline = time.monotonic() + 10.0
+                while len(started) < cpus and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            return solve(system, mu)
+
+        monkeypatch.setattr(fom, "fom_solve", gated)
+        set_cpus(cpus)
+        before = set(threading.enumerate())
+        solves = fom.fom_solve_many(system, mus)
+        next(solves)
+        solves.close()
+        release.set()
+        for thread in set(threading.enumerate()) - before:
+            thread.join()
+        # the caller's first point and each helper's; the queued ones never ran
+        assert sorted(started) == [float(mu[0]) for mu in mus[:cpus]]
 
 
 def _parent_gaussian_load(n):
