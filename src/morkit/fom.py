@@ -431,16 +431,18 @@ def fom_solve_many(system, mus):
     """Yield :func:`fom_solve` at each point of ``mus``, in that order.
 
     The solves run side by side, one per CPU the process may use (its
-    affinity set, else the CPU count). With k CPUs, the calling thread
-    solves every k-th point and k - 1 helper threads the others, handed out
-    at most 2k points ahead of the one being yielded, so at most k
-    factorizations are alive at once and few results wait. With one CPU
-    this is the plain serial loop, and no thread starts.
+    affinity set, else the CPU count). With k CPUs, k - 1 helper threads
+    take the points in order, handed out at most 2k points ahead of the one
+    being yielded. While that point is unfinished, the calling thread does
+    not wait but solves the first handed-out point no helper has started,
+    and waits only when every point is taken. So at most k factorizations
+    are alive at once and few results wait. With one CPU this is the plain
+    serial loop, and no thread starts.
 
     The results are bitwise those of the serial loop: each is one
     ``fom_solve`` call on its own point, nothing is summed across points,
     and SciPy's SuperLU factors with the GIL released and keeps its error
-    state per thread. The helpers call the module's ``fom_solve``, so a
+    state per thread. Every thread calls the module's ``fom_solve``, so a
     wrapper set in its place sees every solve. A failing point raises its
     error when the iteration reaches it. On an error, or when the generator
     is closed early, the solves not yet started are cancelled and none
@@ -460,19 +462,29 @@ def fom_solve_many(system, mus):
             yield fom_solve(system, mu)
         return
 
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    def solve_here(mu):
+        done = Future()
+        try:
+            done.set_result(fom_solve(system, mu))
+        except Exception as exc:  # raised when the iteration reaches mu
+            done.set_exception(exc)
+        return done
 
     pool = ThreadPoolExecutor(max_workers=cpus - 1)
-    helped = {}  # index -> future of the points the helpers solve
-    handed_out = 0  # points [0, handed_out) are the caller's or submitted
+    ahead = {}  # index -> future of each point handed out and not yielded
     try:
-        for i, mu in enumerate(mus):
-            ahead = min(i + 2 * cpus, len(mus))
-            for j in range(handed_out, ahead):
-                if j % cpus:
-                    helped[j] = pool.submit(fom_solve, system, mus[j])
-            handed_out = ahead
-            yield helped.pop(i).result() if i % cpus else fom_solve(system, mu)
+        for i in range(len(mus)):
+            for j in range(i + len(ahead), min(i + 2 * cpus, len(mus))):
+                ahead[j] = pool.submit(fom_solve, system, mus[j])
+            while not ahead[i].done():
+                # cancel() takes a point back only if no helper started it
+                taken = next((j for j in sorted(ahead) if ahead[j].cancel()), None)
+                if taken is None:
+                    break
+                ahead[taken] = solve_here(mus[taken])
+            yield ahead.pop(i).result()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
