@@ -300,7 +300,7 @@ class TestFomSolveMany:
             assert got.output == want.output
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("bad", [4, 5])  # the caller's point and a helper's
+    @pytest.mark.parametrize("bad", [4, 5])
     def test_out_of_domain_point_raises_when_reached(self, block, set_cpus,
                                                      cpus, bad):
         system, mus = block
