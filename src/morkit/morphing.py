@@ -73,43 +73,45 @@ def _bernstein_weights(t, degree):
 def ffd_weights(lattice, points):
     """Per-point tensor-Bernstein weights, reusable across displacements.
 
-    Returns ``(weights, inside)``. ``weights`` is a C-ordered
-    (n_points, n_controls) array, one row per point, zero for points outside
-    the unit lattice image (those stay fixed); ``inside`` is the boolean row
-    mask. :func:`ffd_deform` applies the weights as one matrix product over
-    all rows: a product over the inside rows alone is cheaper, but the BLAS
-    may round it differently in the last bit.
+    Returns ``(weights, inside)``: ``inside`` is the boolean mask of the
+    points whose lattice coordinates lie in the unit cube, and ``weights`` is
+    a C-ordered (n_inside, n_controls) array, one row per inside point in
+    cloud order. Points outside the lattice stay fixed and get no row.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     local = (points - lattice.origin) @ lattice._axes_inv.T
     inside = np.all((local >= -1e-12) & (local <= 1.0 + 1e-12), axis=1)
-    n_ctrl = int(np.prod([k + 1 for k in lattice.degrees]))
-    weights = np.zeros((points.shape[0], n_ctrl))
-    if inside.any():
-        per_dir = [
-            _bernstein_weights(np.clip(local[inside, a], 0.0, 1.0), deg)
-            for a, deg in enumerate(lattice.degrees)
-        ]
-        w = per_dir[0]
-        for nxt in per_dir[1:]:
-            w = np.einsum("pi,pj->pij", w, nxt).reshape(w.shape[0], -1)
-        weights[inside] = w
-    return weights, inside
+    per_dir = [
+        _bernstein_weights(np.clip(local[inside, a], 0.0, 1.0), deg)
+        for a, deg in enumerate(lattice.degrees)
+    ]
+    w = per_dir[0]
+    for nxt in per_dir[1:]:
+        w = np.einsum("pi,pj->pij", w, nxt).reshape(-1, w.shape[1] * nxt.shape[1])
+    return w, inside
 
 
 def ffd_deform(lattice, points, weights=None):
     """Deform a point cloud through the Bernstein lattice.
 
     ``weights`` may be the precomputed output of :func:`ffd_weights` for the
-    same point set; otherwise it is computed on the fly.
+    same point set; otherwise it is computed on the fly. Weights of another
+    cloud raise :class:`MorphBuildError`. Points outside the lattice are
+    returned as they are.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is None:
         weights = ffd_weights(lattice, points)
     w, inside = weights
     disp_flat = lattice.displacements.reshape(-1, lattice.dim)
-    moved = points + (w @ disp_flat) @ lattice.axes.T
-    return np.where(inside[:, None], moved, points)
+    if (inside.shape != (points.shape[0],)
+            or w.shape != (np.count_nonzero(inside), disp_flat.shape[0])):
+        raise MorphBuildError(
+            f"FFD weights of shape {w.shape} with a mask of {inside.size} points "
+            f"do not fit {points.shape[0]} points and {disp_flat.shape[0]} controls")
+    deformed = points.copy()
+    deformed[inside] = points[inside] + (w @ disp_flat) @ lattice.axes.T
+    return deformed
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +305,13 @@ class IdwMorph:
             raise MorphBuildError("control points must be pairwise distinct")
 
 
-def idw_weights(morph, points):
-    """Normalized inverse-distance weights, one row per evaluation point.
+def _idw_rows(morph, points, scale):
+    """Normalized weights of a few points, one contiguous row per point.
 
-    Returns a C-ordered (n_points, n_controls) array, built in place from
-    the distances; the row sums run along its contiguous rows, and
-    :func:`idw_deform` applies it as one matrix product, so both round as
-    the broadcast formulas do. Points that coincide with a control point
-    (within a bounding-box-scaled threshold) take weight one there and zero
-    elsewhere.
+    Built in place from the distances; the row sums run along the rows, so
+    every weight equals that of the broadcast formulas bit for bit.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = _pairwise_distances(points, morph.control_points)
-    scale = max(bounding_box_diagonal(morph.control_points), 1.0)
     exact = weights < 1e-14 * scale
     hit_rows = np.flatnonzero(exact.any(axis=1))
     first_hit = np.argmax(exact[hit_rows], axis=1)
@@ -331,17 +327,48 @@ def idw_weights(morph, points):
     return weights
 
 
+# points per block of idw_weights. A block's distances and their scratch
+# array take 4096 x n_controls doubles each (3.2 MB at 100 controls), small
+# beside the n x n_controls result, and a block is large enough that the
+# per-block Python overhead stays negligible
+_IDW_BLOCK = 4096
+
+
+def idw_weights(morph, points):
+    """Normalized inverse-distance weights, one row per evaluation point.
+
+    Returns an F-ordered (n_points, n_controls) array: its transpose, the
+    control-major storage, is C-ordered, the layout :func:`idw_deform`'s
+    product reads. It is filled one block of points at a time. Points that
+    coincide with a control point (within a bounding-box-scaled threshold)
+    take weight one there and zero elsewhere.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    scale = max(bounding_box_diagonal(morph.control_points), 1.0)
+    by_control = np.empty((morph.control_points.shape[0], points.shape[0]))
+    for start in range(0, points.shape[0], _IDW_BLOCK):
+        stop = start + _IDW_BLOCK
+        by_control[:, start:stop] = _idw_rows(morph, points[start:stop], scale).T
+    return by_control.T
+
+
 def idw_deform(morph, points, weights=None):
     """Evaluate the IDW map; ``weights`` may come from :func:`idw_weights`.
 
     The weights interpolate the control-point displacement field, so regions
     far from every displaced control still move by the blended displacement
-    rather than collapsing onto the control positions.
+    rather than collapsing onto the control positions. Weights of another
+    cloud or morph raise :class:`MorphBuildError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is None:
         weights = idw_weights(morph, points)
-    return points + weights @ (morph.deformed_points - morph.control_points)
+    delta = morph.deformed_points - morph.control_points
+    if weights.shape != (points.shape[0], delta.shape[0]):
+        raise MorphBuildError(
+            f"IDW weights of shape {weights.shape} do not fit "
+            f"{points.shape[0]} points and {delta.shape[0]} controls")
+    return points + (delta.T @ weights.T).T
 
 
 # ---------------------------------------------------------------------------

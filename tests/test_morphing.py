@@ -271,6 +271,44 @@ class TestIdw:
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
 
 
+class TestPrecomputedWeights:
+    """Weights computed for another cloud or morph are refused, not broadcast."""
+
+    def test_ffd_weights_of_another_cloud_rejected(self):
+        lattice = morphing.FfdLattice(origin=[0.25, 0.25], axes=0.5 * np.eye(2),
+                                      degrees=(3, 3),
+                                      displacements=np.full((4, 4, 2), 0.1))
+        points = np.random.default_rng(74).random((500, 2))
+        points[0] = [0.5, 0.5]
+        inside = morphing.ffd_weights(lattice, points)[1]
+        rows_of_all = morphing.ffd_weights(lattice, 0.5 * points + 0.25)[0]
+        for weights in (morphing.ffd_weights(lattice, points[:1]),  # mask length
+                        (rows_of_all, inside)):  # inside row count
+            with pytest.raises(morphing.MorphBuildError, match="do not fit"):
+                morphing.ffd_deform(lattice, points, weights)
+        other = morphing.FfdLattice(origin=[0.25, 0.25], axes=0.5 * np.eye(2),
+                                    degrees=(2, 3), displacements=np.zeros((3, 4, 2)))
+        with pytest.raises(morphing.MorphBuildError, match="do not fit"):
+            morphing.ffd_deform(lattice, points, morphing.ffd_weights(other, points))
+        weights = morphing.ffd_weights(lattice, points)
+        assert np.array_equal(morphing.ffd_deform(lattice, points, weights),
+                              morphing.ffd_deform(lattice, points))
+
+    def test_idw_weights_of_another_cloud_rejected(self):
+        rng = np.random.default_rng(75)
+        ctrl = rng.random((10, 2))
+        morph = morphing.IdwMorph(ctrl, ctrl + 0.1)
+        points = rng.random((500, 2))
+        fewer = morphing.IdwMorph(ctrl[:9], ctrl[:9])
+        for weights in (morphing.idw_weights(morph, points[:1]),
+                        morphing.idw_weights(fewer, points)):
+            with pytest.raises(morphing.MorphBuildError, match="do not fit"):
+                morphing.idw_deform(morph, points, weights)
+        weights = morphing.idw_weights(morph, points)
+        assert np.array_equal(morphing.idw_deform(morph, points, weights),
+                              morphing.idw_deform(morph, points))
+
+
 class TestIo:
     def test_point_cloud_round_trip(self, tmp_path):
         pts = np.random.default_rng(72).random((30, 3))
@@ -371,7 +409,8 @@ def _ref_idw_weights(morph, points):
     return weights
 
 
-def _ref_ffd_deform(lattice, points):
+def _ref_ffd_weights(lattice, points):
+    """Dense weight rows for every point, zero outside the lattice, and the mask."""
     local = (points - lattice.origin) @ np.linalg.inv(lattice.axes).T
     inside = np.all((local >= -1e-12) & (local <= 1.0 + 1e-12), axis=1)
     weights = np.zeros((points.shape[0], lattice.displacements[..., 0].size))
@@ -383,10 +422,7 @@ def _ref_ffd_deform(lattice, points):
             b = comb(deg, k) * t ** k * (1.0 - t) ** (deg - k)
             w = np.einsum("pi,pj->pij", w, b).reshape(w.shape[0], -1)
         weights[inside] = w
-    local_disp = weights @ lattice.displacements.reshape(-1, lattice.dim)
-    deformed = points + local_disp @ lattice.axes.T
-    deformed[~inside] = points[~inside]
-    return deformed
+    return weights, inside
 
 
 def _cloud_with_hits(rng, n, ctrl):
@@ -406,9 +442,11 @@ class TestBitwiseReference:
         weights = morphing.idw_weights(morph, points)
         expected = _ref_idw_weights(morph, points)
         assert np.array_equal(weights, expected)
-        assert weights.flags.c_contiguous
+        assert weights.T.flags.c_contiguous  # stored control-major
         assert (weights == 1.0).sum() >= len(ctrl) + 2  # the hit rows
-        reference = points + expected @ (morph.deformed_points - morph.control_points)
+        # the library's product form, applied to the reference weights
+        delta = morph.deformed_points - morph.control_points
+        reference = points + (delta.T @ np.ascontiguousarray(expected.T)).T
         assert np.array_equal(morphing.idw_deform(morph, points), reference)
         assert np.array_equal(morphing.idw_deform(morph, points, weights), reference)
 
@@ -436,19 +474,76 @@ class TestBitwiseReference:
 
     def test_ffd(self, d, n):
         rng = np.random.default_rng(400 + 10 * d + n)
-        degrees = (3, 2, 4)[:d]
-        axes = 0.7 * np.eye(d) + 0.05 * rng.standard_normal((d, d))
-        lattice = morphing.FfdLattice(
-            origin=np.full(d, 0.1), axes=axes, degrees=degrees,
-            displacements=0.05 * rng.standard_normal(tuple(k + 1 for k in degrees) + (d,)),
-        )
+        lattice = _random_lattice(rng, (3, 2, 4)[:d])
         points = rng.random((n, d)) * 1.5 - 0.25  # part of the cloud lies outside
         points[0] = lattice.origin  # on the lattice boundary
-        expected = _ref_ffd_deform(lattice, points)
+        dense, inside = _ref_ffd_weights(lattice, points)
         weights = morphing.ffd_weights(lattice, points)
-        assert 0 < weights[1].sum() < n
+        assert np.array_equal(weights[1], inside)
+        assert 0 < inside.sum() < n
+        assert np.array_equal(weights[0], dense[inside])
+        assert weights[0].flags.c_contiguous
+        # the library's product form over the inside rows, with the reference weights
+        disp = lattice.displacements.reshape(-1, d)
+        expected = points.copy()
+        expected[inside] = points[inside] + (dense[inside] @ disp) @ lattice.axes.T
         assert np.array_equal(morphing.ffd_deform(lattice, points), expected)
         assert np.array_equal(morphing.ffd_deform(lattice, points, weights), expected)
+
+
+def _random_lattice(rng, degrees):
+    d = len(degrees)
+    axes = 0.7 * np.eye(d) + 0.05 * rng.standard_normal((d, d))
+    return morphing.FfdLattice(
+        origin=np.full(d, 0.1), axes=axes, degrees=degrees,
+        displacements=0.05 * rng.standard_normal(tuple(k + 1 for k in degrees) + (d,)),
+    )
+
+
+def _ulps_of_largest(out):
+    """The spacing of doubles at each coordinate's largest magnitude."""
+    return np.spacing(np.abs(out).max(axis=0))
+
+
+@pytest.mark.parametrize("n", [40, 500, 6000, 50_000])
+@pytest.mark.parametrize("d", [2, 3])
+class TestParentProducts:
+    """The online products against the ones they replaced: n x m over all rows.
+
+    Both sum the same m terms per coordinate, in an order the BLAS picks, so
+    they may differ in the last bit; some of these probes do. A reordered sum
+    of weights (each at most 1, summing to 1) times displacements far smaller
+    than the coordinates moves by at most about one unit in the last place of
+    the largest coordinate, and adding it to the point rounds once more, so
+    the two agree within two such units.
+    """
+
+    def test_idw(self, d, n):
+        for m in (12, 30, 64, 100):
+            rng = np.random.default_rng(1000 * d + n + m)
+            ctrl = rng.random((m, d))
+            morph = morphing.IdwMorph(ctrl, ctrl + 0.05 * rng.standard_normal((m, d)))
+            points = rng.random((n, d)) * 1.5 - 0.25
+            weights = morphing.idw_weights(morph, points)
+            delta = morph.deformed_points - morph.control_points
+            parent = points + np.ascontiguousarray(weights) @ delta
+            deformed = morphing.idw_deform(morph, points, weights)
+            assert np.all(np.abs(deformed - parent) <= 2 * _ulps_of_largest(parent)), m
+
+    def test_ffd(self, d, n):
+        lattices = {2: ((1, 2), (3, 3), (7, 7), (9, 9)),
+                    3: ((1, 1, 2), (2, 2, 2), (3, 3, 3), (3, 2, 4))}
+        for degrees in lattices[d]:
+            rng = np.random.default_rng(2000 * d + n + sum(degrees))
+            lattice = _random_lattice(rng, degrees)
+            points = rng.random((n, d)) * 1.5 - 0.25
+            dense, inside = _ref_ffd_weights(lattice, points)
+            disp = lattice.displacements.reshape(-1, d)
+            parent = np.where(inside[:, None],
+                              points + (dense @ disp) @ lattice.axes.T, points)
+            deformed = morphing.ffd_deform(lattice, points)
+            assert np.array_equal(deformed[~inside], points[~inside])
+            assert np.all(np.abs(deformed - parent) <= 2 * _ulps_of_largest(parent)), degrees
 
 
 class TestEvaluationMemory:
@@ -475,9 +570,26 @@ class TestEvaluationMemory:
         return rng.random((self.m, self.d)), rng.random((self.n, self.d))
 
     def test_idw_weights(self, cloud):
+        # the result plus one block's distances and scratch array: 1 + 2 *
+        # 4096 / n, plus the block's masks, read 1.42; one more block would
+        # pass 1.6
         ctrl, points = cloud
         morph = morphing.IdwMorph(ctrl, ctrl)
-        assert self._peak_per_nm(morphing.idw_weights, morph, points) <= 3.0
+        assert self._peak_per_nm(morphing.idw_weights, morph, points) <= 1.5
+
+    def test_ffd_weights(self, cloud):
+        # a lattice over [0.25, 0.75]^3 holds 12.6% of the cloud: the rows of
+        # its 64 controls are 0.126 of n * 64 doubles, and the lattice
+        # coordinates and the last tensor product's input add about 0.1; a
+        # dense n * 64 array would take 1
+        _, points = cloud
+        lattice = morphing.FfdLattice(origin=[0.25] * 3, axes=0.5 * np.eye(3),
+                                      degrees=(3, 3, 3),
+                                      displacements=np.zeros((4, 4, 4, 3)))
+        weights, inside = morphing.ffd_weights(lattice, points)
+        assert weights.shape == (np.count_nonzero(inside), 64)
+        assert 0.12 < inside.mean() < 0.13
+        assert self._peak_per_nm(morphing.ffd_weights, lattice, points) * self.m / 64 <= 0.3
 
     @pytest.mark.parametrize("kernel", sorted(morphing.RBF_KERNELS))
     def test_rbf_deform(self, cloud, kernel):
