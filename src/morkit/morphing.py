@@ -95,9 +95,10 @@ def ffd_deform(lattice, points, weights=None):
     """Deform a point cloud through the Bernstein lattice.
 
     ``weights`` may be the precomputed output of :func:`ffd_weights` for the
-    same point set; otherwise it is computed on the fly. Weights of another
-    cloud raise :class:`MorphBuildError`. Points outside the lattice are
-    returned as they are.
+    same point set; otherwise it is computed on the fly. Weights whose
+    shape does not fit the points and the lattice raise
+    :class:`MorphBuildError`. Points outside the lattice are returned as
+    they are.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is None:
@@ -306,7 +307,7 @@ class IdwMorph:
 
 
 def _idw_rows(morph, points, scale):
-    """Normalized weights of a few points, one contiguous row per point.
+    """Normalized weights of a block of points, one contiguous row per point.
 
     Built in place from the distances; the row sums run along the rows, so
     every weight equals that of the broadcast formulas bit for bit.
@@ -357,8 +358,8 @@ def idw_deform(morph, points, weights=None):
 
     The weights interpolate the control-point displacement field, so regions
     far from every displaced control still move by the blended displacement
-    rather than collapsing onto the control positions. Weights of another
-    cloud or morph raise :class:`MorphBuildError`.
+    rather than collapsing onto the control positions. Weights whose shape
+    is not (n_points, n_controls) raise :class:`MorphBuildError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is None:
