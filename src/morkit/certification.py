@@ -172,7 +172,8 @@ def build_coercivity_model(system, mu_bar, check_terms=True):
     if check_terms:
         for q, a in enumerate(system.matrix_terms):
             lam = _smallest_eig(a)
-            if lam < -1e-8 * max(_matrix_scale(a), 1.0):
+            scale = float(np.abs(a.data).max()) if a.nnz else 0.0
+            if lam < -1e-8 * max(scale, 1.0):
                 raise CoercivityError(
                     f"affine matrix term {q} is not positive semidefinite"
                 )
@@ -180,10 +181,6 @@ def build_coercivity_model(system, mu_bar, check_terms=True):
     if alpha_bar <= 0.0:
         raise CoercivityError("reference matrix is not coercive")
     return CoercivityModel(mu_bar=mu_bar, theta_bar=theta_bar, alpha_bar=alpha_bar)
-
-
-def _matrix_scale(a):
-    return float(np.abs(a.data).max()) if a.nnz else 0.0
 
 
 def _coercivity_lbs(model, theta_a):

@@ -112,24 +112,27 @@ def _option_type(command, key):
 
 
 def _resolve_options(args):
-    """Fill each option the command line left unset from the config, else its default."""
+    """Fill each option the command line left unset from the config, else its default.
+
+    Every config value is read as the text its flag would take, so 8.9 is no
+    grid size, and is checked even where a flag overrides it.
+    """
     options = _OPTIONS[args.command]
     cfg = {} if args.config is None else _load_json_descriptor(args.config)
-    for key in cfg:
+    for key, raw in cfg.items():
         if key not in options:
             raise _DescriptorError(args.config, 1,
                                    f"{args.command} takes no option {key!r}")
+        try:
+            if raw is None or isinstance(raw, (bool, list, dict)):
+                raise TypeError(f"must be a number or a string, got {json.dumps(raw)}")
+            cfg[key] = _option_type(args.command, key)[0](str(raw))
+        except (TypeError, ValueError) as exc:
+            raise _DescriptorError(args.config, 1, f"{key}: {exc}")
     for key, default in options.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr) is not None:
-            continue
-        value = default
-        if key in cfg:
-            try:
-                value = _option_type(args.command, key)[0](cfg[key])
-            except (TypeError, ValueError) as exc:
-                raise _DescriptorError(args.config, 1, f"{key}: {exc}")
-        setattr(args, attr, value)
+        if getattr(args, attr) is None:
+            setattr(args, attr, cfg.get(key, default))
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +272,23 @@ def _run_asub_demo(args):
 
 
 def _run_morph(args):
-    descriptor_path = args.descriptor
-    try:
-        descriptor = _load_json_descriptor(descriptor_path)
-        if descriptor.get("type") not in (None, args.kind):
-            raise _DescriptorError(
-                descriptor_path, 1,
-                f"descriptor type {descriptor.get('type')!r} does not match "
-                f"subcommand {args.kind!r}",
-            )
-        descriptor["type"] = args.kind
-        morph = morphing.morph_from_descriptor(descriptor)
-    except morphing.MorphBuildError as exc:
-        raise _DescriptorError(descriptor_path, 1, str(exc))
     try:
         points = morphing.read_point_cloud(args.points)
     except (OSError, ValueError) as exc:
         raise _DescriptorError(args.points, 0, str(exc))
+    descriptor = _load_json_descriptor(args.descriptor)
+    if descriptor.get("type") not in (None, args.kind):
+        raise _DescriptorError(
+            args.descriptor, 1,
+            f"descriptor type {descriptor.get('type')!r} does not match "
+            f"subcommand {args.kind!r}",
+        )
+    descriptor["type"] = args.kind
     try:
+        morph = morphing.morph_from_descriptor(descriptor)
         deformed = morphing.deform(morph, points)
     except morphing.MorphBuildError as exc:
-        raise _DescriptorError(descriptor_path, 1, str(exc))
+        raise _DescriptorError(args.descriptor, 1, str(exc))
     morphing.write_point_cloud(args.out, deformed)
     disp = np.linalg.norm(deformed - points, axis=1)
     summary = {
@@ -322,10 +321,10 @@ def _run_rom(args):
     except ValueError as exc:
         print(f"error: --mu: {exc}", file=sys.stderr)
         return 2
-    print(f"s_N({mu.tolist()}) = {s_n:.17g}")
     if args.out:
         fom.write_csv(args.out, "index,coefficient",
                       [(k + 1, v) for k, v in enumerate(u_n)])
+    print(f"s_N({mu.tolist()}) = {s_n:.17g}")
     return 0
 
 
@@ -381,12 +380,16 @@ def build_parser():
     _add_options(p, "morph")
     p.set_defaults(func=_run_morph)
 
-    p = sub.add_parser("rom", help="load or solve a reduced model that "
-                                   "thermal-block saved")
-    p.add_argument("action", choices=("load", "solve"))
+    rom = sub.add_parser("rom", help="load or solve a reduced model that "
+                                     "thermal-block saved").add_subparsers(
+        dest="action", required=True)
+    p = rom.add_parser("load", help="print the saved model's sizes")
     p.add_argument("model_dir", help="model directory")
-    p.add_argument("--mu", nargs="+", type=float, default=None,
-                   help="parameter point (solve)")
+    p.set_defaults(func=_run_rom)
+    p = rom.add_parser("solve", help="solve the reduced model at one parameter")
+    p.add_argument("model_dir", help="model directory")
+    p.add_argument("--mu", nargs="+", type=float, required=True,
+                   help="parameter point")
     _add_options(p, "rom")
     p.set_defaults(func=_run_rom)
 
@@ -396,15 +399,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rom" and args.action == "solve" and not args.mu:
-        parser.error("rom solve requires --mu")
     try:
-        _resolve_options(args)
+        if "config" in args:  # rom load declares no options
+            _resolve_options(args)
         return args.func(args)
     except _DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except OSError as exc:  # an output path; each read reports its own
+        where = f"{exc.filename}:0: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2

@@ -190,10 +190,9 @@ class NewtonError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-def _grid_nodes(n, x0=0.0, x1=1.0, y0=0.0, y1=1.0):
-    x = np.linspace(x0, x1, n + 1)
-    y = np.linspace(y0, y1, n + 1)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
+def _grid_nodes(n, lo=0.0, hi=1.0):
+    x = np.linspace(lo, hi, n + 1)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
@@ -375,7 +374,7 @@ def assemble_gaussian_poisson(n=24):
     """
     if n < 3:
         raise ValueError("grid resolution must be at least 3")
-    nodes = _grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
+    nodes = _grid_nodes(n, -1.0, 1.0)
     conn = _element_connectivity(n)
     h = 2.0 / n
     interior_mask = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)

@@ -160,10 +160,9 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
     s = linalg.check_matrix(snapshots, "snapshot matrix")
     if np.abs(s).max() == 0.0:
         raise ValueError("snapshot matrix is identically zero")
-    svd = linalg.svd(s)
-    sigma = svd.singular_values
+    u, sigma, _ = linalg.svd(s)
     keep = int(np.sum(sigma > 1e-12 * sigma[0]))
-    modes = svd.left_vectors[:, :keep]
+    modes = u[:, :keep]
     if n_max is not None:
         keep = min(keep, n_max)
     s_norm = np.linalg.norm(s)

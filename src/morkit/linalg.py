@@ -5,8 +5,6 @@ symmetric eigendecomposition, linear solve and weighted Gram-Schmidt
 orthonormalization. All functions operate on plain ndarrays and are pure.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -41,27 +39,17 @@ def check_vector(b, name):
     return b
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD a = U diag(s) Vt with singular values sorted descending."""
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray  # stored as columns, i.e. a = U diag(s) right_vectors.T
-
-
 def svd(a):
     """Thin singular value decomposition of a dense matrix.
 
-    Returns an :class:`SvdResult` with orthonormal columns in both factors
-    and non-negative singular values in descending order.
+    Returns numpy's ``(u, s, vt)``, a = u diag(s) vt: orthonormal columns in
+    ``u`` and rows in ``vt``, non-negative singular values in descending order.
     """
     a = check_matrix(a, "svd input")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(left_vectors=u, singular_values=s, right_vectors=vt.T)
 
 
 def sym_eig(c):

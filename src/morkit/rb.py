@@ -36,12 +36,6 @@ class ReducedBasis:
         return self.basis.shape[1]
 
 
-def _gram_apply(gram, x):
-    if gram is None:
-        return x
-    return gram @ x
-
-
 def pod(snapshots, gram=None, rank=None, energy=None):
     """Best low-rank basis of a snapshot matrix in the gram-weighted sense.
 
@@ -57,7 +51,7 @@ def pod(snapshots, gram=None, rank=None, energy=None):
     n_max = s.shape[1]
     if np.abs(s).max() == 0.0:
         raise ValueError("snapshot matrix is identically zero, no basis derivable")
-    corr = s.T @ _gram_apply(gram, s)
+    corr = s.T @ (s if gram is None else gram @ s)
     corr = 0.5 * (corr + corr.T)
     lam, z = linalg.sym_eig(corr)
     lam = np.clip(lam, 0.0, None)

@@ -261,3 +261,45 @@ class TestSummary:
         eig = (tmp_path / "eig.csv").read_text().strip().split("\n")
         assert eig[0] == "index,lambda"
         assert len(eig) == 3
+
+
+def _samples(n, p, values=None):
+    return asub.SampledGradients(
+        parameters=np.zeros((n, p)), values=np.zeros(n) if values is None else values,
+        gradients=np.eye(n, p), domain=_cube_domain(p))
+
+
+def _subspace(p):
+    return asub.estimate_subspace(_samples(p, p), split=1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _samples(3, 2, values=np.zeros(2)),
+     ValueError, "sample arrays must share one sample count"),
+    (lambda: _samples(2, 2, values=np.array([0.0, np.nan])),
+     asub.GradientSampleError, "non-finite function value or gradient sample"),
+    (lambda: asub.sample_gradients(lambda mu: 0.0, _cube_domain(2), 0, 1,
+                                   grad=lambda mu: np.zeros(2)),
+     ValueError, "need at least one sample"),
+    (lambda: asub.estimate_subspace(_samples(3, 3), split=0),
+     ValueError, "split must lie between 1 and the parameter count"),
+    (lambda: asub.estimate_subspace(_samples(3, 3), split=4),
+     ValueError, "split must lie between 1 and the parameter count"),
+    (lambda: asub.subspace_distance(_subspace(2), _subspace(3)),
+     ValueError, "subspaces live in different ambient dimensions"),
+], ids=["sample-counts", "non-finite", "no-samples", "split-0", "split-above",
+        "distance-dimensions"])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_one_parameter_is_one_active_direction():
+    samples = asub.sample_gradients(lambda mu: float(mu[0]) ** 2, _cube_domain(1),
+                                    20, 4, grad=lambda mu: 2.0 * mu)
+    subspace = asub.estimate_subspace(samples)
+    assert subspace.active_dim == 1
+    assert subspace.inactive_basis.shape == (1, 0)
+    assert subspace.gap_ratio == math.inf
+    assert np.array_equal(np.abs(subspace.active_basis), [[1.0]])

@@ -469,3 +469,28 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "mu,delta_en,true_error,effectivity,delta_s"
         assert len(lines) == 2
+
+
+def _with_terms(system, matrix_terms, theta_a):
+    return dataclasses.replace(system, matrix_terms=matrix_terms, theta_a=theta_a)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s, b: certification.residual_dual_norm(
+        certification.riesz_offline(s, b), s, [0.4], np.ones(b.size + 1)),
+     ValueError, "reduced coefficient length does not match offline data"),
+    (lambda s, b: certification.build_coercivity_model(
+        _with_terms(s, s.matrix_terms, lambda mu: np.array([1.0, 0.0, 1.0, 1.0])),
+        [0.5]),
+     certification.CoercivityError, "reference theta weights must all be positive"),
+    (lambda s, b: certification.build_coercivity_model(
+        _with_terms(s, [sp.csr_matrix(-sp.eye(s.dof_count))],
+                    lambda mu: np.array([1.0])),
+        [0.5], check_terms=False),
+     certification.CoercivityError, "reference matrix is not coercive"),
+], ids=["dual-norm-length", "theta-bar", "not-coercive"])
+def test_input_check_raises(thermal_greedy, call, error, message):
+    system, _, basis = thermal_greedy
+    with pytest.raises(error) as exc:
+        call(system, basis)
+    assert str(exc.value) == message

@@ -305,6 +305,12 @@ class TestDemoCommands:
         ("thermal-block", {"tol": -1}),
         ("thermal-block", {"tol": "nan"}),
         ("thermal-block", {"tol": "inf"}),
+        # values read as the text the flag would take
+        ("thermal-block", {"grid": 8.9}),
+        ("eim-demo", {"seed": 1.7}),
+        # JSON values no flag can spell, checked although --out overrides one
+        ("thermal-block", {"out": None}),
+        ("eim-demo", {"n-max": True}),
     ])
     def test_bad_config_key_or_value_exit_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "config.json"
@@ -313,6 +319,54 @@ class TestDemoCommands:
         assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "config.json:1:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "grid: must be a number or a string, got null"),
+        (False, "grid: must be a number or a string, got false"),
+        ([8], "grid: must be a number or a string, got [8]"),
+        ({"n": 8}, 'grid: must be a number or a string, got {"n": 8}'),
+        (8.0, "grid: invalid literal for int() with base 10: '8.0'"),
+    ], ids=["null", "bool", "array", "object", "float"])
+    def test_config_value_message(self, tmp_path, capsys, value, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": value}))
+        assert _run(["deim-demo", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(["asub-demo", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(out)]) == 2
+        assert "missing.json:0: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_match_the_flags(self, tmp_path):
+        # a config number is read as the text of the same flag
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": 6, "train-size": 8, "tol": 1e-3,
+                                   "seed": 3}))
+        assert _run(["eim-demo", "--config", str(cfg),
+                     "--out", str(tmp_path / "config")]) == 0
+        assert _run(["eim-demo", "--grid", "6", "--train-size", "8", "--tol",
+                     "1e-3", "--seed", "3", "--out", str(tmp_path / "flags")]) == 0
+        for name in ("eim_history.csv", "interp_solve_error.csv"):
+            assert ((tmp_path / "config" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes())
+
+    def test_eim_demo_takes_a_positive_tolerance(self, tmp_path):
+        assert cli.positive_tolerance("0.1") == 0.1
+        sizes = {}
+        for tol in ("0.1", "1e-12"):
+            out = tmp_path / tol
+            assert _run(["eim-demo", "--grid", "6", "--train-size", "40",
+                         "--tol", tol, "--out", str(out)]) == 0
+            errors = [float(line.split(",")[1]) for line in
+                      (out / "eim_history.csv").read_text().strip().split("\n")[1:]]
+            sizes[tol] = len(errors)
+        # the 0.1 run stops at the first error below 0.1; 1e-12 runs to n-max
+        assert errors[sizes["0.1"] - 1] < 0.1 <= errors[sizes["0.1"] - 2]
+        assert sizes["0.1"] < sizes["1e-12"] == 25
 
     def test_thermal_block_takes_zero_tolerance(self, tmp_path):
         # the greedy accepts 0: it then stops on the basis size cap
@@ -345,6 +399,52 @@ class TestDemoCommands:
             _run(argv.split() + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output path the program cannot write: exit 2, ``path:0:``, no traceback."""
+
+    @pytest.mark.parametrize("command", ["thermal-block --grid 4",
+                                         "eim-demo --grid 4 --train-size 5",
+                                         "deim-demo --grid 4 --train-size 3",
+                                         "asub-demo --train-size 10"])
+    def test_output_directory_is_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "F"
+        out.write_text("kept\n")
+        assert _run(command.split() + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}:0: File exists\n"
+        assert captured.out == ""
+        assert out.read_text() == "kept\n"
+
+    def test_morph_into_missing_directory(self, tmp_path, capsys):
+        points = tmp_path / "cloud.txt"
+        morphing.write_point_cloud(points, np.random.default_rng(3).random((10, 2)))
+        descriptor = tmp_path / "morph.json"
+        descriptor.write_text(json.dumps({
+            "control_points": [[0.0, 0.0], [1.0, 1.0]],
+            "deformed_points": [[0.0, 0.1], [1.0, 1.0]],
+        }))
+        out = tmp_path / "missing_dir" / "x.txt"
+        assert _run(["morph", "idw", str(points), str(descriptor),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}:0: No such file or directory\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_rom_solve_into_missing_directory(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert _run(["thermal-block", "--grid", "4", "--train-size", "3",
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert _run(["rom", "solve", str(run / "rom"), "--mu", "0.3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}:0: No such file or directory\n"
+        assert "s_N" not in captured.out  # printed only after the file is written
+        assert not out.parent.exists()
 
 
 class TestThermalBlockCommand:
@@ -395,6 +495,8 @@ class TestDeclaredFlags:
         + [(command, flag) for command in ("morph idw cloud.txt morph.json",
                                            "rom solve model --mu 0.3")
            for flag in ("--grid", "--train-size", "--tol", "--n-max", "--seed")]
+        # rom load reads only the model; it once took these and ignored them
+        + [("rom load model", flag) for flag in ("--mu", "--out", "--config")]
     ))
     def test_flag_the_subcommand_does_not_read_exits_2(self, command, flag):
         with pytest.raises(SystemExit) as exc:

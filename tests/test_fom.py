@@ -379,7 +379,7 @@ class TestFomSolveMany:
 
 def _parent_gaussian_load(n):
     """The load rule (mass_full @ g)[interior] the load map replaced."""
-    nodes = fom._grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
+    nodes = fom._grid_nodes(n, -1.0, 1.0)
     conn = fom._element_connectivity(n)
     local_mass = np.broadcast_to((2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))
     mass_full = fom._Q1Pattern(conn, np.ones(len(nodes), dtype=bool)).assemble(local_mass)
@@ -413,7 +413,7 @@ class TestGaussianPoisson:
         # consistent load = full mass matrix times nodal forcing, restricted
         n = 6
         _, points, load_map = fom.assemble_gaussian_poisson(n=n)
-        nodes = fom._grid_nodes(n, -1.0, 1.0, -1.0, 1.0)
+        nodes = fom._grid_nodes(n, -1.0, 1.0)
         conn = fom._element_connectivity(n)
         mass = _coo_reference(conn, np.ones(len(nodes), dtype=bool), np.broadcast_to(
             (2.0 / n) ** 2 * fom._M_REF, (len(conn), 4, 4))).toarray()
@@ -664,3 +664,38 @@ class TestCsvExport:
         path = tmp_path / "rows.csv"
         fom.write_csv(path, "k,v", [(1, 0.5), (np.int64(2), 0.25)])
         assert path.read_text() == "k,v\n1,0.5\n2,0.25\n"
+
+
+def _affine(matrices, rhs, gram):
+    return fom.AffineSystem(
+        matrix_terms=[sp.csr_matrix(a) for a in matrices], rhs_terms=rhs,
+        theta_a=lambda mu: np.ones(len(matrices)), theta_f=lambda mu: np.ones(1),
+        gram=sp.csr_matrix(gram), domain=fom.ParamDomain([0.0], [1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fom.ParamDomain([[0.0, 0.0]], [[1.0, 1.0]]),
+     "lower/upper bounds must be 1-d arrays of equal length"),
+    (lambda: fom.ParamDomain([0.0, 0.0], [1.0]),
+     "lower/upper bounds must be 1-d arrays of equal length"),
+    (lambda: _affine([np.eye(3), np.eye(2)], [np.ones(3)], np.eye(3)),
+     "all matrix terms must share the same square shape"),
+    (lambda: _affine([np.ones((3, 2))], [np.ones(3)], np.eye(3)),
+     "all matrix terms must share the same square shape"),
+    (lambda: _affine([np.eye(3)], [np.ones(2)], np.eye(3)),
+     "rhs terms must match the matrix dimension"),
+    (lambda: _affine([np.eye(3)], [np.ones(3)], np.eye(2)),
+     "gram matrix dimension mismatch"),
+    (lambda: fom.assemble_thermal_block(n=2), "grid resolution must be at least 3"),
+    (lambda: fom.assemble_thermal_block(n=4, sigma2=0.0),
+     "conductivities must be positive"),
+    (lambda: fom.thermal_block_direct(5, 0.5), "grid resolution must be even"),
+    (lambda: fom.assemble_gaussian_poisson(n=2), "grid resolution must be at least 3"),
+    (lambda: fom.NonlinearFom(n=2), "grid resolution must be at least 3"),
+], ids=["domain-2d", "domain-lengths", "terms-shapes", "term-not-square", "rhs",
+        "gram", "thermal-grid", "thermal-sigma", "direct-odd", "gaussian-grid",
+        "nonlinear-grid"])
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -579,3 +579,22 @@ class TestExport:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["q"] == basis.size
         assert manifest["magic_indices"] == basis.magic_indices
+
+
+_TWO_COLUMNS = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: interpolation.eim_coefficients(
+        interpolation.eim_build(_TWO_COLUMNS), np.ones(3)),
+     "expected one value per magic point"),
+    (lambda: interpolation.deim_coefficients(
+        interpolation.deim_build(_TWO_COLUMNS), np.ones(1)),
+     "expected one sampled value per magic index"),
+    (lambda: interpolation.deim_build(np.zeros((3, 2))),
+     "snapshot matrix is identically zero"),
+], ids=["eim-coefficients", "deim-coefficients", "deim-zero"])
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

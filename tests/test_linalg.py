@@ -35,29 +35,27 @@ class TestSvd:
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 5))
-        res = linalg.svd(a)
-        rec = res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.T
+        u, s, vt = linalg.svd(a)
+        rec = u @ np.diag(s) @ vt
         assert np.allclose(rec, a, atol=1e-12)
 
     def test_singular_values_descending_nonnegative(self):
         rng = np.random.default_rng(4)
-        s = linalg.svd(rng.standard_normal((6, 9))).singular_values
+        _, s, _ = linalg.svd(rng.standard_normal((6, 9)))
         assert np.all(s >= 0.0)
         assert np.all(np.diff(s) <= 1e-14)
 
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(5)
-        res = linalg.svd(rng.standard_normal((7, 4)))
-        assert np.allclose(res.left_vectors.T @ res.left_vectors, np.eye(4),
-                           atol=1e-12)
-        assert np.allclose(res.right_vectors.T @ res.right_vectors, np.eye(4),
-                           atol=1e-12)
+        u, _, vt = linalg.svd(rng.standard_normal((7, 4)))
+        assert np.allclose(u.T @ u, np.eye(4), atol=1e-12)
+        assert np.allclose(vt @ vt.T, np.eye(4), atol=1e-12)
 
     def test_singular_values_match_jacobi_oracle(self):
         # sigma^2 are the eigenvalues of A^T A; compare with Jacobi rotations
         rng = np.random.default_rng(6)
         a = rng.standard_normal((9, 4))
-        sigma = linalg.svd(a).singular_values
+        _, sigma, _ = linalg.svd(a)
         lam = _jacobi_eigenvalues(a.T @ a)
         assert np.allclose(sigma ** 2, np.clip(lam, 0.0, None), atol=1e-10)
 
@@ -144,3 +142,38 @@ class TestOrthonormalize:
         basis = np.eye(4)[:, :2]
         dependent = basis @ np.array([2.0, -1.0])
         assert linalg.orthonormalize(dependent, basis) is None
+
+    def test_zero_vector_returns_none(self):
+        assert linalg.orthonormalize(np.zeros(3), np.zeros((3, 0))) is None
+
+    def test_one_dimensional_basis_is_one_column(self):
+        col = linalg.orthonormalize(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        assert np.allclose(col, [0.0, 1.0], atol=1e-15)
+        col = linalg.orthonormalize(np.array([3.0, 4.0]), np.array([]))
+        assert np.allclose(col, [0.6, 0.8], atol=1e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.check_vector(np.zeros((2, 2)), "v"),
+     "v must be 1-dimensional, got shape (2, 2)"),
+    (lambda: linalg.check_vector([1.0, np.inf], "v"), "v contains non-finite entries"),
+    (lambda: linalg.sym_eig(np.ones((2, 3))), "sym_eig requires a square matrix"),
+    (lambda: linalg.solve(np.ones((2, 3)), np.ones(2)), "solve requires a square matrix"),
+    (lambda: linalg.solve(np.eye(2), np.ones(3)),
+     "rhs length does not match matrix dimension"),
+], ids=["vector-2d", "vector-nonfinite", "sym-eig-square", "solve-square",
+        "solve-rhs-length"])
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_svd_failure_raises_typed_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(linalg.SvdConvergenceError) as exc:
+        linalg.svd(np.eye(2))
+    assert str(exc.value) == "SVD did not converge: no convergence"

@@ -600,3 +600,26 @@ class TestEvaluationMemory:
         ctrl, points = cloud
         morph = morphing.rbf_build(ctrl, ctrl, kernel=kernel)
         assert self._peak_per_nm(morphing.rbf_deform, morph, points) <= 3.0
+
+
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: morphing.FfdLattice(origin=[0.0, 0.0], axes=np.eye(3), degrees=[1, 1],
+                                 displacements=np.zeros((2, 2, 2))),
+     morphing.MorphBuildError, "axes must be a square matrix matching the origin"),
+    (lambda: morphing.FfdLattice(origin=[0.0, 0.0], axes=np.eye(2), degrees=[1],
+                                 displacements=np.zeros((2, 2))),
+     morphing.MorphBuildError, "one polynomial degree per spatial direction"),
+    (lambda: morphing.IdwMorph(_TRIANGLE, _TRIANGLE, exponent=0),
+     morphing.MorphBuildError, "exponent must be a positive integer"),
+    (lambda: morphing.IdwMorph(_TRIANGLE, _TRIANGLE[:2]),
+     morphing.MorphBuildError, "control and deformed point arrays must match"),
+    (lambda: morphing.deform({"type": "idw"}, np.zeros((2, 2))),
+     TypeError, "not a morph: <class 'dict'>"),
+], ids=["ffd-axes", "ffd-degrees", "idw-exponent", "idw-shapes", "not-a-morph"])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

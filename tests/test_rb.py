@@ -1,5 +1,7 @@
 """Reduced-basis construction, projection, online solve and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,51 @@ class TestSerialization:
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format version"):
                 rb.load_rom(tmp_path / "rom")
+
+    def test_unknown_theta_name_rejected(self, thermal_greedy, tmp_path):
+        import json
+
+        system, _, basis = thermal_greedy
+        rb.save_rom(rb.project(system, basis), tmp_path / "rom")
+        manifest_path = tmp_path / "rom" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["theta_name"] = "no-such-map"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            rb.load_rom(tmp_path / "rom")
+        assert str(exc.value) == "unknown theta registry entry 'no-such-map'"
+
+
+class _WrongCountEstimator:
+    def delta_function(self, system, basis):
+        return lambda training: np.zeros(len(training) - 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: rb.pod(np.eye(3)[:, :2], rank=0),
+     "rank must be between 1 and the snapshot count"),
+    (lambda s: rb.pod(np.eye(3)[:, :2], rank=3),
+     "rank must be between 1 and the snapshot count"),
+    (lambda s: rb.pod(np.eye(3), energy=0.0), "energy fraction must lie in (0, 1]"),
+    (lambda s: rb.pod(np.eye(3), energy=1.5), "energy fraction must lie in (0, 1]"),
+    (lambda s: rb.pod(np.eye(3), gram=np.zeros((3, 3)), rank=1),
+     "requested basis has no nonzero modes"),
+    (lambda s: rb.greedy(s, [], tol=1e-6, mu1=[0.5], n_max=2, estimator=None),
+     "training set must be nonempty"),
+    (lambda s: rb.greedy(dataclasses.replace(s, rhs_terms=[np.zeros(s.dof_count)]),
+                         [[0.5]], tol=1e-6, mu1=[0.5], n_max=2, estimator=None),
+     "initial snapshot is numerically zero"),
+    (lambda s: rb.greedy(s, [[0.3], [0.5], [0.7]], tol=1e-6, mu1=[0.5], n_max=2,
+                         estimator=_WrongCountEstimator()),
+     "estimator gave (2,) bounds for 3 points"),
+    (lambda s: rb.project(s, rb.ReducedBasis(basis=np.ones((s.dof_count + 1, 1)))),
+     "basis dimension does not match the system"),
+    (lambda s: rb.lift(rb.ReducedBasis(basis=np.eye(4)[:, :2]), np.ones(3)),
+     "coefficient length does not match basis size"),
+], ids=["pod-rank-0", "pod-rank-above", "pod-energy-0", "pod-energy-above",
+        "pod-no-modes", "greedy-empty", "greedy-zero-snapshot", "greedy-bounds",
+        "project", "lift"])
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(fom.assemble_thermal_block(n=4))
+    assert str(exc.value) == message
