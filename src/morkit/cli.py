@@ -39,19 +39,6 @@ class _DescriptorError(Exception):
         super().__init__(f"{path}:{lineno}: {msg}")
 
 
-# the options each subcommand reads, with their defaults; a flag beats the
-# same key in the --config file, which beats the default
-_OPTIONS = {
-    "thermal-block": {"grid": 32, "train-size": 50, "tol": 1e-6, "n-max": 15,
-                      "out": "thermal_block_out"},
-    "eim-demo": {"grid": 24, "train-size": 100, "tol": 1e-12, "n-max": 25,
-                 "seed": 42, "out": "eim_out"},
-    "deim-demo": {"grid": 12, "train-size": 30, "seed": 42, "out": "deim_out"},
-    "asub-demo": {"train-size": 2000, "seed": 42, "out": "asub_out"},
-    "morph": {"out": "deformed_points.txt"},
-    "rom": {"out": None},
-}
-
 def positive_int(text):
     """The type of the count options: an integer of at least 1."""
     value = int(text)
@@ -111,13 +98,12 @@ def _option_type(command, key):
     return _OPTION_TYPES.get((command, key)) or _OPTION_TYPES[key]
 
 
-def _resolve_options(args):
+def _resolve_options(args, options):
     """Fill each option the command line left unset from the config, else its default.
 
     Every config value is read as the text its flag would take, so 8.9 is no
     grid size, and is checked even where a flag overrides it.
     """
-    options = _OPTIONS[args.command]
     cfg = {} if args.config is None else _load_json_descriptor(args.config)
     for key, raw in cfg.items():
         if key not in options:
@@ -331,17 +317,38 @@ def _run_rom(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_MODEL_DIR = ("model_dir", {"help": "model directory"})
 
-def _add_options(p, command):
-    """The subcommand's options from ``_OPTIONS``, plus ``--config``."""
-    for key, default in _OPTIONS[command].items():
-        kind, text = _option_type(command, key)
-        if default is not None:
-            text = f"{text} (default {default})"
-        p.add_argument(f"--{key}", type=kind, default=None, help=text)
-    p.add_argument("--config", default=None,
-                   help="JSON config file of these options; explicit flags take "
-                        "precedence")
+# each subcommand, and each rom action as "rom ACTION": its help, its runner,
+# its arguments and its options with their defaults. rom itself has no
+# runner, only actions. A flag beats the same key in the --config file,
+# which beats the default; a command without options takes no --config
+_COMMANDS = {
+    "thermal-block": ("certified greedy reduction of the two-material block",
+                      _run_thermal_block, (),
+                      {"grid": 32, "train-size": 50, "tol": 1e-6, "n-max": 15,
+                       "out": "thermal_block_out"}),
+    "eim-demo": ("empirical interpolation of a parametrized source",
+                 _run_eim_demo, (),
+                 {"grid": 24, "train-size": 100, "tol": 1e-12, "n-max": 25,
+                  "seed": 42, "out": "eim_out"}),
+    "deim-demo": ("operator interpolation on the nonlinear problem",
+                  _run_deim_demo, (),
+                  {"grid": 12, "train-size": 30, "seed": 42, "out": "deim_out"}),
+    "asub-demo": ("active subspace of a quadratic model", _run_asub_demo, (),
+                  {"train-size": 2000, "seed": 42, "out": "asub_out"}),
+    "morph": ("deform a point cloud file", _run_morph,
+              (("kind", {"choices": ("ffd", "rbf", "idw")}),
+               ("points", {"help": "whitespace-delimited point cloud file"}),
+               ("descriptor", {"help": "JSON morph descriptor"})),
+              {"out": "deformed_points.txt"}),
+    "rom": ("load or solve a reduced model that thermal-block saved", None, (), {}),
+    "rom load": ("print the saved model's sizes", _run_rom, (_MODEL_DIR,), {}),
+    "rom solve": ("solve the reduced model at one parameter", _run_rom,
+                  (_MODEL_DIR, ("--mu", {"nargs": "+", "type": float, "required": True,
+                                         "help": "parameter point"})),
+                  {"out": None}),
+}
 
 
 def build_parser():
@@ -349,60 +356,38 @@ def build_parser():
         prog="morkit",
         description="Projection-based model reduction toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thermal-block",
-                       help="certified greedy reduction of the two-material block")
-    _add_options(p, "thermal-block")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (text, run, arguments, options) in _COMMANDS.items():
+        parent, _, leaf = name.rpartition(" ")
+        p = subparsers[parent].add_parser(leaf, help=text)
+        if run is None:
+            subparsers[name] = p.add_subparsers(dest="action", required=True)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        for key, default in options.items():
+            kind, help_text = _option_type(name, key)
+            if default is not None:
+                help_text = f"{help_text} (default {default})"
+            p.add_argument(f"--{key}", type=kind, default=None, help=help_text)
+        if options:
+            p.add_argument("--config", default=None,
+                           help="JSON config file of these options; explicit "
+                                "flags take precedence")
     # nothing reads it: the build draws no random numbers
-    p.add_argument("--seed", type=int, default=None,
-                   help="ignored; accepted only because perfbench passes it")
-    p.set_defaults(func=_run_thermal_block)
-
-    p = sub.add_parser("eim-demo",
-                       help="empirical interpolation of a parametrized source")
-    _add_options(p, "eim-demo")
-    p.set_defaults(func=_run_eim_demo)
-
-    p = sub.add_parser("deim-demo",
-                       help="operator interpolation on the nonlinear problem")
-    _add_options(p, "deim-demo")
-    p.set_defaults(func=_run_deim_demo)
-
-    p = sub.add_parser("asub-demo", help="active subspace of a quadratic model")
-    _add_options(p, "asub-demo")
-    p.set_defaults(func=_run_asub_demo)
-
-    p = sub.add_parser("morph", help="deform a point cloud file")
-    p.add_argument("kind", choices=("ffd", "rbf", "idw"))
-    p.add_argument("points", help="whitespace-delimited point cloud file")
-    p.add_argument("descriptor", help="JSON morph descriptor")
-    _add_options(p, "morph")
-    p.set_defaults(func=_run_morph)
-
-    rom = sub.add_parser("rom", help="load or solve a reduced model that "
-                                     "thermal-block saved").add_subparsers(
-        dest="action", required=True)
-    p = rom.add_parser("load", help="print the saved model's sizes")
-    p.add_argument("model_dir", help="model directory")
-    p.set_defaults(func=_run_rom)
-    p = rom.add_parser("solve", help="solve the reduced model at one parameter")
-    p.add_argument("model_dir", help="model directory")
-    p.add_argument("--mu", nargs="+", type=float, required=True,
-                   help="parameter point")
-    _add_options(p, "rom")
-    p.set_defaults(func=_run_rom)
-
+    subparsers[""].choices["thermal-block"].add_argument(
+        "--seed", type=int, default=None,
+        help="ignored; accepted only because perfbench passes it")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    name = f"{args.command} {args.action}" if "action" in args else args.command
+    _, run, _, options = _COMMANDS[name]
     try:
-        if "config" in args:  # rom load declares no options
-            _resolve_options(args)
-        return args.func(args)
+        if options:
+            _resolve_options(args, options)
+        return run(args)
     except _DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

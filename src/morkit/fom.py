@@ -608,11 +608,15 @@ def newton(residual, jacobian, u, tol, max_iter):
     )
 
 
-def nonlinear_solve(fom, mu, tol=1e-9, max_iter=50):
+# the residual norm at which the truth and the hyper-reduced Newton solves stop
+_NEWTON_TOL = 1e-9
+
+
+def nonlinear_solve(fom, mu, max_iter=50):
     """:func:`newton` for the nonlinear diffusion problem, started at zero."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     return newton(lambda u: fom.residual(u, mu), lambda u: fom.jacobian(u, mu),
-                  np.zeros(fom.dof_count), tol, max_iter)
+                  np.zeros(fom.dof_count), _NEWTON_TOL, max_iter)
 
 
 def write_csv(path, header, rows):

@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import linalg
-from .fom import newton
+from .fom import _NEWTON_TOL, newton
 
 
 @dataclass
@@ -139,13 +139,7 @@ def lebesgue_constant(basis):
         basis.interp_matrix, np.eye(basis.size), lower=True, unit_diagonal=True
     )
     lagrange = basis.basis @ t_inv
-    constant = float(np.abs(lagrange).sum(axis=1).max())
-    bound = 2.0 ** basis.size - 1.0
-    if constant > bound * (1.0 + 1e-9):
-        raise AssertionError(
-            f"Lebesgue constant {constant} exceeds the 2^Q - 1 bound {bound}"
-        )
-    return constant
+    return float(np.abs(lagrange).sum(axis=1).max())
 
 
 def deim_build(snapshots, tol=1e-10, n_max=None):
@@ -186,10 +180,7 @@ def deim_build(snapshots, tol=1e-10, n_max=None):
         # next index from the residual of the next mode
         c = np.linalg.solve(pth, modes[indices, q])
         r = modes[:, q] - h_q @ c
-        i_k = int(np.argmax(np.abs(r)))
-        if i_k in indices:  # guarded: cannot happen with independent modes
-            raise linalg.SingularMatrixError("repeated interpolation index")
-        indices.append(i_k)
+        indices.append(int(np.argmax(np.abs(r))))
         q += 1
     return DeimBasis(
         basis=modes[:, :q],
@@ -259,7 +250,7 @@ def reduced_mesh(problem, magic_slots):
     return mesh, rows[:, mesh].toarray()
 
 
-def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100):
+def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, max_iter=100):
     """Hyper-reduced quasi-Newton solve with both operators interpolated.
 
     ``problem`` is a :class:`~morkit.fom.NonlinearFom`; both bases must lie on
@@ -271,8 +262,8 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
     truth solve's loop, :func:`~morkit.fom.newton`, steps with that operator.
     The state keeps full dimension. The Jacobian drops the derivative of the
     solution-dependent coefficients, so the iteration is quasi-Newton. Raises
-    :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not reach
-    ``tol``.
+    :class:`~morkit.fom.NewtonError` if ``max_iter`` steps do not reach the
+    truth solve's tolerance.
     """
     for basis in (a_basis, c_basis):
         _on_pattern(basis.pattern, problem.mass)
@@ -289,7 +280,7 @@ def mdeim_nonlinear_solve(problem, a_basis, c_basis, mu, tol=1e-9, max_iter=100)
         op.data[:] = fixed + c_basis.basis @ deim_coefficients(c_basis, c_values)
         return op @ u - f
 
-    return newton(residual, lambda u: op, np.zeros(f.shape[0]), tol, max_iter)
+    return newton(residual, lambda u: op, np.zeros(f.shape[0]), _NEWTON_TOL, max_iter)
 
 
 def export_eim_basis(basis, directory, points):

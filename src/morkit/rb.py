@@ -236,11 +236,22 @@ def load_rom(directory):
     if name not in THETA_REGISTRY:
         raise ValueError(f"unknown theta registry entry {name!r}")
     theta_a, theta_f = THETA_REGISTRY[name]
+    size = manifest["size"]
+    shapes = {"a": (size, size), "f": (size,)}
     with np.load(os.path.join(directory, "payload.npz")) as payload:
         terms = {
             attr: [payload[f"{key}_{q}"] for q in range(manifest[f"q_{key}"])]
             for key, attr in _TERM_GROUPS
         }
+    # a term that does not fit the manifest, or is not finite, would reach
+    # rom_solve and be reported there as a fault of the parameter
+    for key, attr in _TERM_GROUPS:
+        for q, term in enumerate(terms[attr]):
+            if term.dtype.kind != "f" or term.shape != shapes[key]:
+                raise ValueError(f"{key}_{q}: expected a float array of shape "
+                                 f"{shapes[key]}, got {term.dtype} {term.shape}")
+            if not np.isfinite(term).all():
+                raise ValueError(f"{key}_{q}: non-finite entries")
     return RomSystem(
         **terms,
         theta_a=theta_a,

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import shutil
+import sys
 import threading
 
 import numpy as np
@@ -565,3 +567,186 @@ class TestRomCommands:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "s_N" not in captured.out
         assert not coeff_out.exists()
+
+    # an edited payload term: the model's fault, never the parameter's
+    @pytest.mark.parametrize("key, edit", [
+        ("a_0", lambda a: np.where(a == a[0, 0], np.nan, a)),
+        ("f_0", lambda f: np.ones(5)),
+        ("a_0", lambda a: np.eye(3)),
+    ], ids=["nan", "rhs-of-length-5", "matrix-of-3x3"])
+    @pytest.mark.parametrize("action", ["load", "solve"])
+    def test_edited_model_exits_2_naming_the_model(self, model_dir, tmp_path, capsys,
+                                                   key, edit, action):
+        edited = tmp_path / "rom"
+        shutil.copytree(model_dir, edited)
+        with np.load(edited / "payload.npz") as payload:
+            terms = dict(payload)
+        terms[key] = edit(terms[key])
+        np.savez(edited / "payload.npz", **terms)
+        coeff_out = tmp_path / "coeff.csv"
+        argv = ["rom", action, str(edited)]
+        if action == "solve":
+            argv += ["--mu", "0.3", "--out", str(coeff_out)]
+        assert _run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {edited}:0: {key}: ")
+        assert "--mu" not in captured.err
+        assert captured.out == "" and not coeff_out.exists()
+
+
+# the help and usage texts, recorded at 80 columns with Python 3.11's
+# argparse; a reordered argument, option or subcommand changes them
+_CLI_TEXT = {
+    "--help": """\
+usage: morkit [-h] {thermal-block,eim-demo,deim-demo,asub-demo,morph,rom} ...
+
+Projection-based model reduction toolkit
+
+positional arguments:
+  {thermal-block,eim-demo,deim-demo,asub-demo,morph,rom}
+    thermal-block       certified greedy reduction of the two-material block
+    eim-demo            empirical interpolation of a parametrized source
+    deim-demo           operator interpolation on the nonlinear problem
+    asub-demo           active subspace of a quadratic model
+    morph               deform a point cloud file
+    rom                 load or solve a reduced model that thermal-block saved
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "thermal-block --help": """\
+usage: morkit thermal-block [-h] [--grid GRID] [--train-size TRAIN_SIZE]
+                            [--tol TOL] [--n-max N_MAX] [--out OUT]
+                            [--config CONFIG] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --grid GRID           full-order grid resolution per direction, even
+                        (default 32)
+  --train-size TRAIN_SIZE
+                        training sample count (default 50)
+  --tol TOL             stopping tolerance (default 1e-06)
+  --n-max N_MAX         maximum basis size (default 15)
+  --out OUT             output directory or file (default thermal_block_out)
+  --config CONFIG       JSON config file of these options; explicit flags take
+                        precedence
+  --seed SEED           ignored; accepted only because perfbench passes it
+""",
+    "eim-demo --help": """\
+usage: morkit eim-demo [-h] [--grid GRID] [--train-size TRAIN_SIZE]
+                       [--tol TOL] [--n-max N_MAX] [--seed SEED] [--out OUT]
+                       [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --grid GRID           full-order grid resolution per direction (default 24)
+  --train-size TRAIN_SIZE
+                        training sample count (default 100)
+  --tol TOL             stopping tolerance, above 0 (default 1e-12)
+  --n-max N_MAX         maximum basis size (default 25)
+  --seed SEED           random seed (default 42)
+  --out OUT             output directory or file (default eim_out)
+  --config CONFIG       JSON config file of these options; explicit flags take
+                        precedence
+""",
+    "deim-demo --help": """\
+usage: morkit deim-demo [-h] [--grid GRID] [--train-size TRAIN_SIZE]
+                        [--seed SEED] [--out OUT] [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --grid GRID           full-order grid resolution per direction (default 12)
+  --train-size TRAIN_SIZE
+                        training sample count (default 30)
+  --seed SEED           random seed (default 42)
+  --out OUT             output directory or file (default deim_out)
+  --config CONFIG       JSON config file of these options; explicit flags take
+                        precedence
+""",
+    "asub-demo --help": """\
+usage: morkit asub-demo [-h] [--train-size TRAIN_SIZE] [--seed SEED]
+                        [--out OUT] [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --train-size TRAIN_SIZE
+                        training sample count (default 2000)
+  --seed SEED           random seed (default 42)
+  --out OUT             output directory or file (default asub_out)
+  --config CONFIG       JSON config file of these options; explicit flags take
+                        precedence
+""",
+    "morph --help": """\
+usage: morkit morph [-h] [--out OUT] [--config CONFIG]
+                    {ffd,rbf,idw} points descriptor
+
+positional arguments:
+  {ffd,rbf,idw}
+  points           whitespace-delimited point cloud file
+  descriptor       JSON morph descriptor
+
+options:
+  -h, --help       show this help message and exit
+  --out OUT        output directory or file (default deformed_points.txt)
+  --config CONFIG  JSON config file of these options; explicit flags take
+                   precedence
+""",
+    "rom --help": """\
+usage: morkit rom [-h] {load,solve} ...
+
+positional arguments:
+  {load,solve}
+    load        print the saved model's sizes
+    solve       solve the reduced model at one parameter
+
+options:
+  -h, --help    show this help message and exit
+""",
+    "rom load --help": """\
+usage: morkit rom load [-h] model_dir
+
+positional arguments:
+  model_dir   model directory
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "rom solve --help": """\
+usage: morkit rom solve [-h] --mu MU [MU ...] [--out OUT] [--config CONFIG]
+                        model_dir
+
+positional arguments:
+  model_dir         model directory
+
+options:
+  -h, --help        show this help message and exit
+  --mu MU [MU ...]  parameter point
+  --out OUT         output directory or file
+  --config CONFIG   JSON config file of these options; explicit flags take
+                    precedence
+""",
+    "": """\
+usage: morkit [-h] {thermal-block,eim-demo,deim-demo,asub-demo,morph,rom} ...
+morkit: error: the following arguments are required: command
+""",
+    "nope": """\
+usage: morkit [-h] {thermal-block,eim-demo,deim-demo,asub-demo,morph,rom} ...
+morkit: error: argument command: invalid choice: 'nope' (choose from 'thermal-block', 'eim-demo', 'deim-demo', 'asub-demo', 'morph', 'rom')
+""",
+    "rom": """\
+usage: morkit rom [-h] {load,solve} ...
+morkit rom: error: the following arguments are required: action
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the texts were recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("argv", list(_CLI_TEXT))
+def test_help_and_usage_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        _run(argv.split())
+    assert exc.value.code == (0 if "--help" in argv else 2)
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == _CLI_TEXT[argv]

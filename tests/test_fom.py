@@ -1,10 +1,12 @@
 """Full-order problems: assembly oracles, affine fidelity, nonlinear solver."""
 
 import concurrent.futures
+import os
 import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -277,6 +279,17 @@ class TestSingularSystems:
         with pytest.raises(linalg.SingularMatrixError):
             singular.gram_factor()
 
+    def test_ill_conditioned_solve_fails_the_residual_check(self):
+        # the 12 x 12 Hilbert matrix factors, but its solution is far off
+        singular = fom.AffineSystem(
+            matrix_terms=[sp.csr_matrix(scipy.linalg.hilbert(12))],
+            rhs_terms=[(-1.0) ** np.arange(12)],
+            theta_a=lambda mu: np.array([1.0]), theta_f=lambda mu: np.array([1.0]),
+            gram=sp.identity(12, format="csr"), domain=fom.ParamDomain([0.0], [1.0]),
+        )
+        with pytest.raises(linalg.SingularMatrixError, match="residual too large"):
+            fom.fom_solve(singular, [0.5])
+
 
 class TestFomSolveMany:
     """The ordered parallel map of truth solves, at one and at several CPUs."""
@@ -314,6 +327,24 @@ class TestFomSolveMany:
                 yielded.append(truth)
         assert str(many.value) == str(serial.value)
         assert len(yielded) == bad
+
+    # a platform without CPU affinity: the CPU count, where it is known
+    @pytest.mark.parametrize("count", [None, 1, 2])
+    def test_cpu_count_where_there_is_no_affinity(self, block, monkeypatch, count):
+        system, mus = block
+        serial = [fom.fom_solve(system, mu) for mu in mus]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        threads = set()
+        solve = fom.fom_solve
+        monkeypatch.setattr(fom, "fom_solve", lambda system, mu:
+                            threads.add(threading.current_thread()) or solve(system, mu))
+        many = list(fom.fom_solve_many(system, mus))
+        for got, want in zip(many, serial, strict=True):
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert got.output == want.output
+        helped = threads - {threading.main_thread()}
+        assert bool(helped) == (count == 2)
 
     def test_one_cpu_starts_no_thread_pool(self, block, set_cpus, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -208,6 +208,12 @@ class TestRbf:
         with pytest.raises(morphing.MorphBuildError):
             morphing.rbf_build(ctrl, ctrl)
 
+    def test_collinear_controls_rejected(self):
+        # distinct points, but on one line: the affine part is undetermined
+        ctrl = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(morphing.MorphBuildError, match="singular interpolation system"):
+            morphing.rbf_build(ctrl, ctrl, kernel="thin-plate")
+
     def test_unknown_kernel_rejected(self):
         ctrl = np.random.default_rng(68).random((5, 2))
         with pytest.raises(morphing.MorphBuildError):
